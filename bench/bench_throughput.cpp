@@ -5,9 +5,8 @@
 // simulated frames per wall-clock second, pixels composed/compared per
 // second, and the per-stage pixel-traffic split -- across four
 // representative workloads (static UI, feed scroll, game, video) for
-// serial execution, the FleetRunner, every runtime-dispatchable kernel
-// variant, and a `reference` arm (scalar kernels, tile memoization off)
-// equivalent to the pre-memoization hot path.  It writes
+// serial execution, the FleetRunner, and a `reference` arm (tile
+// memoization off) equivalent to the pre-memoization hot path.  It writes
 // BENCH_throughput.json (schema below, versioned) so the perf trajectory of
 // the repo is machine-readable and CI can fail on regressions; see
 // DESIGN.md sections 8 and 12.
@@ -19,14 +18,12 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/app_profiles.h"
 #include "bench_common.h"
-#include "gfx/compare.h"
 #include "harness/json_writer.h"
 #include "obs/obs.h"
 
@@ -125,8 +122,8 @@ std::vector<harness::ExperimentConfig> make_configs(const Profile& p,
   return configs;
 }
 
-/// One measured arm (serial, fleet, one kernel variant, or reference) over a
-/// profile's config set.
+/// One measured arm (serial, fleet, or reference) over a profile's config
+/// set.
 struct ArmResult {
   double wall_ms = 0.0;
   std::uint64_t sim_frames = 0;
@@ -147,13 +144,10 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-ArmResult run_serial(const std::vector<harness::ExperimentConfig>& configs,
-                     const gfx::kernels::KernelOps* pin = nullptr) {
+ArmResult run_serial(const std::vector<harness::ExperimentConfig>& configs) {
   ArmResult r;
   obs::ObsSink sink;
   sink.spans.set_enabled(false);  // counters only; spans would skew timing
-  std::optional<gfx::kernels::ScopedKernelOverride> override_;
-  if (pin != nullptr) override_.emplace(*pin);
   const auto t0 = std::chrono::steady_clock::now();
   for (harness::ExperimentConfig c : configs) {
     c.obs = &sink;
@@ -180,7 +174,7 @@ ArmResult run_fleet(const std::vector<harness::ExperimentConfig>& configs) {
   return r;
 }
 
-/// Counter totals must be scheduling- and kernel-independent; only pool.*
+/// Counter totals must be scheduling-independent; only pool.*
 /// counters legitimately differ (fleet workers share one device per
 /// thread), and the reference arm additionally differs in the memo/meter
 /// work counters the memoization exists to change.
@@ -257,22 +251,18 @@ std::string out_path(int argc, char** argv) {
 int main(int argc, char** argv) {
   const int seconds = bench::run_seconds(argc, argv, 30);
   const std::string path = out_path(argc, argv);
-  const auto& variants = gfx::kernels::available_kernels();
 
   harness::print_bench_header(
       std::cout, "Wall-clock throughput baseline",
       std::to_string(seconds) + " s per run, " +
-          std::to_string(kRunsPerProfile) + " runs per profile, kernel " +
-          gfx::kernels::active_kernels().name);
+          std::to_string(kRunsPerProfile) + " runs per profile");
 
   struct Row {
     Profile profile;
-    ArmResult serial;  // active kernel, memoization on
+    ArmResult serial;  // memoization on
     ArmResult fleet;
-    ArmResult reference;  // scalar kernels, memoization off (pre-PR path)
-    std::vector<std::pair<std::string, ArmResult>> variant_arms;
-    bool identical = false;           // serial vs fleet
-    bool variants_identical = false;  // every variant vs serial, all counters
+    ArmResult reference;  // memoization off (pre-PR path)
+    bool identical = false;            // serial vs fleet
     bool reference_identical = false;  // reference vs serial, modulo memo work
   };
   std::vector<Row> rows;
@@ -287,21 +277,13 @@ int main(int argc, char** argv) {
     row.profile = p;
     row.serial = run_serial(make_configs(p, seconds));
     row.fleet = run_fleet(make_configs(p, seconds));
-    row.reference = run_serial(make_configs(p, seconds, /*tile_memo=*/false),
-                               &gfx::kernels::scalar_kernels());
+    row.reference =
+        run_serial(make_configs(p, seconds, /*tile_memo=*/false));
     row.identical = counters_identical(row.serial.counters,
                                        row.fleet.counters);
     row.reference_identical =
         counters_identical(row.serial.counters, row.reference.counters,
                            /*ignore_memo_work=*/true);
-    row.variants_identical = true;
-    for (const gfx::kernels::KernelOps* ops : variants) {
-      ArmResult arm = run_serial(make_configs(p, seconds), ops);
-      row.variants_identical =
-          row.variants_identical &&
-          counters_identical(row.serial.counters, arm.counters);
-      row.variant_arms.emplace_back(ops->name, std::move(arm));
-    }
     rows.push_back(std::move(row));
   }
 
@@ -327,16 +309,9 @@ int main(int argc, char** argv) {
                           r.serial.counters.value("meter.pixels_compared"))) /
                           1e6,
                       1),
-         r.identical && r.variants_identical && r.reference_identical
-             ? "identical"
-             : "DIVERGED"});
+         r.identical && r.reference_identical ? "identical" : "DIVERGED"});
   }
   table.print(std::cout);
-  std::cout << "kernel variants:";
-  for (const gfx::kernels::KernelOps* ops : variants) {
-    std::cout << " " << ops->name;
-  }
-  std::cout << " (active: " << gfx::kernels::active_kernels().name << ")\n";
 
   std::ofstream out(path);
   if (!out.good()) {
@@ -345,21 +320,15 @@ int main(int argc, char** argv) {
   }
   harness::JsonWriter w(out);
   w.begin_object();
-  w.kv("schema", "ccdem-bench-throughput-v2");
+  w.kv("schema", "ccdem-bench-throughput-v3");
   w.kv("generated_by", "bench_throughput");
   w.kv("sim_seconds_per_run", seconds);
   w.kv("runs_per_profile", kRunsPerProfile);
-  w.kv("active_kernel", gfx::kernels::active_kernels().name);
-  w.key("kernel_variants");
-  w.begin_array();
-  for (const gfx::kernels::KernelOps* ops : variants) w.value(ops->name);
-  w.end_array();
   w.key("profiles");
   w.begin_array();
   bool all_identical = true;
   for (const Row& r : rows) {
-    all_identical = all_identical && r.identical && r.variants_identical &&
-                    r.reference_identical;
+    all_identical = all_identical && r.identical && r.reference_identical;
     w.begin_object();
     w.kv("name", r.profile.name);
     w.kv("app", r.profile.app.name);
@@ -370,15 +339,7 @@ int main(int argc, char** argv) {
     write_arm(w, r.fleet);
     w.key("reference");
     write_arm(w, r.reference);
-    w.key("variants");
-    w.begin_object();
-    for (const auto& [name, arm] : r.variant_arms) {
-      w.key(name);
-      write_arm(w, arm);
-    }
-    w.end_object();
     w.kv("counters_identical", r.identical);
-    w.kv("variants_identical", r.variants_identical);
     w.kv("reference_identical", r.reference_identical);
     w.kv("speedup_fleet_over_serial",
          r.serial.wall_ms <= 0.0 || r.fleet.wall_ms <= 0.0

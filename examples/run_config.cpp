@@ -3,16 +3,19 @@
 //
 //   ./run_config <config-file> [csv-output-file]
 //
-// Example config (see harness/config_io.h for the full key list):
+// The config is a ccdem-repro-v1 scenario file (see check/scenario.h for
+// the full key list), for example:
 //
+//   schema = ccdem-repro-v1
 //   app = Jelly Splash
 //   mode = section+boost
-//   seconds = 30
+//   duration_ms = 30000
 //   seed = 7
 #include <fstream>
 #include <iostream>
+#include <sstream>
 
-#include "harness/config_io.h"
+#include "check/scenario.h"
 #include "harness/csv.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
@@ -29,16 +32,18 @@ int main(int argc, char** argv) {
     std::cerr << "cannot open " << argv[1] << "\n";
     return 1;
   }
+  std::ostringstream text;
+  text << file.rdbuf();
   std::string error;
-  const auto config = harness::parse_experiment_config(file, &error);
-  if (!config) {
+  const auto scenario = check::parse_scenario(text.str(), &error);
+  if (!scenario) {
     std::cerr << "config error: " << error << "\n";
     return 1;
   }
 
-  std::cout << "Running:\n"
-            << harness::experiment_config_to_string(*config) << "\n";
-  const harness::ExperimentResult r = harness::run_experiment(*config);
+  std::cout << "Running:\n" << check::scenario_to_string(*scenario) << "\n";
+  const harness::ExperimentResult r =
+      harness::run_experiment(scenario->experiment_config());
 
   harness::TextTable t({"Metric", "Value"});
   t.add_row({"mean power (mW)", harness::fmt(r.mean_power_mw)});

@@ -12,7 +12,7 @@
 #include <sstream>
 #include <string>
 
-#include "harness/config_io.h"
+#include "check/scenario.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "obs/obs.h"
@@ -30,18 +30,21 @@ int main(int argc, char** argv) {
     std::cerr << "cannot open " << config_path << "\n";
     return 1;
   }
+  std::ostringstream text;
+  text << file.rdbuf();
   std::string error;
-  auto config = harness::parse_experiment_config(file, &error);
-  if (!config) {
+  const auto scenario = check::parse_scenario(text.str(), &error);
+  if (!scenario) {
     std::cerr << "config error: " << error << "\n";
     return 1;
   }
+  harness::ExperimentConfig config = scenario->experiment_config();
 
   obs::ObsSink sink;
-  config->obs = &sink;
+  config.obs = &sink;
   std::cout << "Running " << config_path << " with spans "
             << (sink.spans.enabled() ? "on" : "off (compiled out)") << "\n\n";
-  const harness::ExperimentResult r = harness::run_experiment(*config);
+  const harness::ExperimentResult r = harness::run_experiment(config);
 
   const std::vector<obs::Span> spans = sink.spans.spans();
   const obs::Counters::Snapshot snap = sink.counters.snapshot();

@@ -2,9 +2,10 @@
 
 #include <cassert>
 #include <charconv>
-#include <cmath>
 #include <sstream>
 #include <vector>
+
+#include "sim/key_value.h"
 
 namespace ccdem::apps {
 
@@ -14,32 +15,6 @@ constexpr const char* kSchema = "ccdem-scene-v1";
 constexpr int kMaxStates = 16;
 constexpr std::int64_t kMaxMs = 600'000;
 constexpr double kMaxFps = 240.0;
-
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
-// Strict numeric parsing, same rules as the Scenario format: the whole
-// value must be consumed, doubles must be finite.
-std::optional<long long> parse_int_strict(const std::string& v) {
-  long long out = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  return out;
-}
-
-std::optional<double> parse_double_strict(const std::string& v) {
-  double out = 0.0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  if (!std::isfinite(out)) return std::nullopt;
-  return out;
-}
 
 /// Shortest round-trip decimal (std::to_chars default).
 std::string double_to_string(double v) {
@@ -106,23 +81,23 @@ std::optional<UiState> parse_state(const std::string& v, std::string* error) {
     const std::string key = tokens[i].substr(0, eq);
     const std::string val = tokens[i].substr(eq + 1);
     if (key == "dwell_ms") {
-      const auto ms = parse_int_strict(val);
+      const auto ms = sim::kv::parse_i64(val);
       if (!ms || *ms < 0 || *ms > kMaxMs || have_dwell) return std::nullopt;
       st.dwell_ms = *ms;
       have_dwell = true;
     } else if (key == "fps") {
-      const auto fps = parse_double_strict(val);
+      const auto fps = sim::kv::parse_double(val);
       if (!fps || *fps < 0.0 || *fps > kMaxFps || have_fps)
         return std::nullopt;
       st.anim_fps = *fps;
       have_fps = true;
     } else if (key == "next") {
-      const auto n = parse_int_strict(val);
+      const auto n = sim::kv::parse_i64(val);
       if (!n || *n < 0 || *n >= kMaxStates || have_next) return std::nullopt;
       st.next = static_cast<int>(*n);
       have_next = true;
     } else if (key == "touch") {
-      const auto n = parse_int_strict(val);
+      const auto n = sim::kv::parse_i64(val);
       if (!n || *n < -1 || *n >= kMaxStates || have_touch)
         return std::nullopt;
       st.touch_next = static_cast<int>(*n);
@@ -141,19 +116,12 @@ std::optional<UiState> parse_state(const std::string& v, std::string* error) {
 
 std::optional<std::vector<int>> parse_motion(const std::string& v) {
   std::vector<int> motion;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string item =
-        trim(v.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos));
-    const auto level = parse_int_strict(item);
+  for (const std::string& item : sim::kv::split_list(v)) {
+    const auto level = sim::kv::parse_i64(item);
     if (!level || *level < 0 || *level > 3) return std::nullopt;
     motion.push_back(static_cast<int>(*level));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
-  if (motion.empty() || motion.size() > 16) return std::nullopt;
+  if (motion.size() > 16) return std::nullopt;
   return motion;
 }
 
@@ -197,6 +165,8 @@ std::optional<SceneSpec> scene_spec_from_string(const std::string& text,
     return std::nullopt;
   };
 
+  const auto entries = sim::kv::read(text, error, {"state"});
+  if (!entries) return std::nullopt;
   bool have_schema = false;
   std::optional<std::string> type;
   UiSceneSpec ui;
@@ -205,76 +175,58 @@ std::optional<SceneSpec> scene_spec_from_string(const std::string& text,
   bool have_timeout = false, have_marquee = false, have_gap = false,
        have_frames = false, have_fps = false, have_motion = false;
 
-  std::istringstream is(text);
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(is, raw)) {
-    ++lineno;
-    std::string line = raw;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line = line.substr(0, hash);
-    }
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      return fail("scene line " + std::to_string(lineno) + ": not key=value");
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    const auto bad = [&]() {
-      return fail("scene line " + std::to_string(lineno) + ": bad " + key +
-                  " value: " + value);
-    };
+  for (const sim::kv::Entry& e : *entries) {
+    const std::string& key = e.key;
+    const std::string& value = e.value;
+    const auto bad = [&]() { return fail(sim::kv::bad_value(e)); };
 
     if (key == "schema") {
       if (value != kSchema) return fail("unsupported scene schema: " + value);
       have_schema = true;
     } else if (key == "type") {
-      if (type) return fail("duplicate type");
       if (value != "ui" && value != "burst_video") return bad();
       type = value;
     } else if (key == "idle_timeout_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > kMaxMs || have_timeout) return bad();
+      const auto ms = sim::kv::parse_i64(value);
+      if (!ms || *ms < 0 || *ms > kMaxMs) return bad();
       ui.idle_timeout_ms = *ms;
       have_timeout = true;
     } else if (key == "marquee_px") {
-      const auto px = parse_int_strict(value);
-      if (!px || *px < 1 || *px > 64 || have_marquee) return bad();
+      const auto px = sim::kv::parse_i64(value);
+      if (!px || *px < 1 || *px > 64) return bad();
       ui.marquee_px = static_cast<int>(*px);
       have_marquee = true;
     } else if (key == "state") {
       std::string state_error;
       const auto st = parse_state(value, &state_error);
       if (!st) {
-        return fail("scene line " + std::to_string(lineno) + ": " +
-                    (state_error.empty() ? "bad state" : state_error));
+        return fail(sim::kv::at_line(
+            e.line, state_error.empty() ? "bad state" : state_error));
       }
       if (ui.states.size() >= kMaxStates) return fail("too many states");
       ui.states.push_back(*st);
     } else if (key == "gap_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > kMaxMs || have_gap) return bad();
+      const auto ms = sim::kv::parse_i64(value);
+      if (!ms || *ms < 0 || *ms > kMaxMs) return bad();
       burst.gap_ms = *ms;
       have_gap = true;
     } else if (key == "burst_frames") {
-      const auto n = parse_int_strict(value);
-      if (!n || *n < 1 || *n > 240 || have_frames) return bad();
+      const auto n = sim::kv::parse_i64(value);
+      if (!n || *n < 1 || *n > 240) return bad();
       burst.burst_frames = static_cast<int>(*n);
       have_frames = true;
     } else if (key == "burst_fps") {
-      const auto fps = parse_double_strict(value);
-      if (!fps || *fps <= 0.0 || *fps > kMaxFps || have_fps) return bad();
+      const auto fps = sim::kv::parse_double(value);
+      if (!fps || *fps <= 0.0 || *fps > kMaxFps) return bad();
       burst.burst_fps = *fps;
       have_fps = true;
     } else if (key == "motion") {
       const auto m = parse_motion(value);
-      if (!m || have_motion) return bad();
+      if (!m) return bad();
       burst.motion = *m;
       have_motion = true;
     } else {
-      return fail("unknown scene key: " + key);
+      return fail(sim::kv::unknown_key(e));
     }
   }
 

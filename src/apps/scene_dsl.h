@@ -1,8 +1,8 @@
 // ccdem-scene-v1: the scene DSL.
 //
-// A strict key=value text form (same conventions as the Scenario format:
-// '#' comments, whole-value numeric parses, exact round-trip through the
-// canonical serialization) for the two DSL-described scenes:
+// A strict key=value text form (the shared sim/key_value.h grammar, as in
+// the Scenario format, with exact round-trip through the canonical
+// serialization) for the two DSL-described scenes:
 //
 //   schema = ccdem-scene-v1          schema = ccdem-scene-v1
 //   type = ui                        type = burst_video

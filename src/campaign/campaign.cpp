@@ -1,18 +1,18 @@
 #include "campaign/campaign.h"
 
 #include <cassert>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "campaign/bin_format.h"
 #include "campaign/io_util.h"
 #include "device/control_mode.h"
+#include "sim/key_value.h"
 
 namespace ccdem::campaign {
 
@@ -22,69 +22,13 @@ namespace {
 
 constexpr const char* kSpecSchema = "ccdem-campaign-v1";
 constexpr const char* kManifestSchema = "ccdem-campaign-manifest-v1";
-constexpr const char* kGrids[] = {"2k", "4k", "9k", "36k", "full"};
+constexpr int kMaxShards = 100000;
 
-bool known_grid(const std::string& g) {
-  for (const char* k : kGrids) {
-    if (g == k) return true;
-  }
-  return false;
-}
-
-std::optional<std::uint64_t> parse_u64_strict(const std::string& v) {
-  if (v.empty() || v[0] == '-' || v[0] == '+') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-  if (errno != 0 || end != v.c_str() + v.size()) return std::nullopt;
-  return x;
-}
-
-std::optional<std::int64_t> parse_i64_strict(const std::string& v) {
-  if (v.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long x = std::strtoll(v.c_str(), &end, 10);
-  if (errno != 0 || end != v.c_str() + v.size()) return std::nullopt;
-  return x;
-}
-
-std::optional<double> parse_double_strict(const std::string& v) {
-  if (v.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  if (errno == ERANGE || end != v.c_str() + v.size()) return std::nullopt;
-  if (!std::isfinite(x)) return std::nullopt;
-  return x;
-}
-
-std::optional<bool> parse_bool_strict(const std::string& v) {
-  if (v == "0" || v == "false") return false;
-  if (v == "1" || v == "true") return true;
-  return std::nullopt;
-}
-
-std::string trim_ws(const std::string& s) {
-  const std::size_t a = s.find_first_not_of(" \t");
-  if (a == std::string::npos) return std::string();
-  const std::size_t b = s.find_last_not_of(" \t");
-  return s.substr(a, b - a + 1);
-}
-
-// Comma list; elements are trimmed ("a, b" == "a,b") but may contain
-// interior spaces (app names like "Jelly Splash").
-std::vector<std::string> split_list(const std::string& v) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= v.size()) {
-    const std::size_t comma = v.find(',', start);
-    const std::size_t end = comma == std::string::npos ? v.size() : comma;
-    out.push_back(trim_ws(v.substr(start, end - start)));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
+/// `v` as a shard count in [1, kMaxShards].
+std::optional<int> parse_shards(const std::string& v) {
+  const auto n = sim::kv::parse_i64(v);
+  if (!n || *n < 1 || *n > kMaxShards) return std::nullopt;
+  return static_cast<int>(*n);
 }
 
 std::string join(const std::vector<std::string>& items) {
@@ -94,15 +38,6 @@ std::string join(const std::vector<std::string>& items) {
     out += items[i];
   }
   return out;
-}
-
-/// Splits "key = value"; false when the line is not of that shape.
-bool split_kv(const std::string& line, std::string* key, std::string* value) {
-  const std::size_t eq = line.find('=');
-  if (eq == std::string::npos) return false;
-  *key = trim_ws(line.substr(0, eq));
-  *value = trim_ws(line.substr(eq + 1));
-  return !key->empty();
 }
 
 }  // namespace
@@ -186,85 +121,63 @@ std::string CampaignSpec::to_string() const {
 
 std::optional<CampaignSpec> CampaignSpec::parse(const std::string& text,
                                                 std::string* error) {
-  auto fail = [&](int line_no, const std::string& why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
+  const auto fail = [error](std::string why) {
+    if (error != nullptr) *error = std::move(why);
     return std::nullopt;
   };
+  const auto entries = sim::kv::read(text, error);
+  if (!entries) return std::nullopt;
 
   CampaignSpec spec;
   bool saw_schema = false;
-  std::vector<std::string> seen;
-  std::istringstream is(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::string key, value;
-    if (!split_kv(line, &key, &value)) {
-      return fail(line_no, "expected 'key = value'");
-    }
-    for (const std::string& s : seen) {
-      if (s == key) return fail(line_no, "duplicate key '" + key + "'");
-    }
-    seen.push_back(key);
-
+  for (const sim::kv::Entry& e : *entries) {
+    const std::string& key = e.key;
+    const std::string& value = e.value;
     if (key == "schema") {
-      if (value != kSpecSchema) {
-        return fail(line_no, "unsupported schema '" + value + "'");
-      }
+      if (value != kSpecSchema) return fail(sim::kv::bad_value(e));
       saw_schema = true;
     } else if (key == "apps") {
-      spec.apps = split_list(value);
+      spec.apps = sim::kv::split_list(value);
     } else if (key == "modes") {
-      spec.modes = split_list(value);
+      spec.modes = sim::kv::split_list(value);
     } else if (key == "grids") {
-      spec.grids = split_list(value);
-    } else if (key == "fault_scales") {
-      spec.fault_scales.clear();
-      for (const std::string& item : split_list(value)) {
-        const auto d = parse_double_strict(item);
-        if (!d) return fail(line_no, "bad fault scale '" + item + "'");
-        spec.fault_scales.push_back(*d);
-      }
-    } else if (key == "pressure_scales") {
-      spec.pressure_scales.clear();
-      for (const std::string& item : split_list(value)) {
-        const auto d = parse_double_strict(item);
-        if (!d) return fail(line_no, "bad pressure scale '" + item + "'");
-        spec.pressure_scales.push_back(*d);
+      spec.grids = sim::kv::split_list(value);
+    } else if (key == "fault_scales" || key == "pressure_scales") {
+      std::vector<double>& scales =
+          key == "fault_scales" ? spec.fault_scales : spec.pressure_scales;
+      scales.clear();
+      for (const std::string& item : sim::kv::split_list(value)) {
+        const auto d = sim::kv::parse_double(item);
+        if (!d) return fail(sim::kv::bad_value(e));
+        scales.push_back(*d);
       }
     } else if (key == "seeds") {
       spec.seeds.clear();
-      for (const std::string& item : split_list(value)) {
-        const auto s = parse_u64_strict(item);
-        if (!s) return fail(line_no, "bad seed '" + item + "'");
+      for (const std::string& item : sim::kv::split_list(value)) {
+        const auto s = sim::kv::parse_u64(item);
+        if (!s) return fail(sim::kv::bad_value(e));
         spec.seeds.push_back(*s);
       }
     } else if (key == "duration_ms") {
-      const auto d = parse_i64_strict(value);
-      if (!d) return fail(line_no, "bad duration_ms '" + value + "'");
+      const auto d = sim::kv::parse_i64(value);
+      if (!d) return fail(sim::kv::bad_value(e));
       spec.duration_ms = *d;
     } else if (key == "ab" || key == "record_spans" || key == "oracles") {
-      const auto b = parse_bool_strict(value);
-      if (!b) return fail(line_no, "bad flag '" + value + "'");
+      const auto b = sim::kv::parse_bool(value);
+      if (!b) return fail(sim::kv::bad_value(e));
       (key == "ab" ? spec.ab
                    : key == "record_spans" ? spec.record_spans
                                            : spec.oracles) = *b;
     } else if (key == "shards") {
-      const auto s = parse_i64_strict(value);
-      if (!s || *s < 1 || *s > 100000) {
-        return fail(line_no, "bad shards '" + value + "'");
-      }
-      spec.shards = static_cast<int>(*s);
+      const auto n = parse_shards(value);
+      if (!n) return fail(sim::kv::bad_value(e));
+      spec.shards = *n;
     } else {
-      return fail(line_no, "unknown key '" + key + "'");
+      return fail(sim::kv::unknown_key(e));
     }
   }
-  if (!saw_schema) return fail(line_no, "missing 'schema' line");
-  if (const auto why = spec.validate()) return fail(line_no, *why);
+  if (!saw_schema) return fail("missing 'schema' line");
+  if (const auto why = spec.validate()) return fail(*why);
   return spec;
 }
 
@@ -286,7 +199,7 @@ std::optional<std::string> CampaignSpec::validate() const {
   }
   if (grids.empty()) return "grids must not be empty";
   for (const std::string& g : grids) {
-    if (!known_grid(g)) return "unknown grid '" + g + "'";
+    if (!check::parse_grid(g)) return "unknown grid '" + g + "'";
   }
   if (fault_scales.empty()) return "fault_scales must not be empty";
   for (const double f : fault_scales) {
@@ -388,60 +301,44 @@ std::string Manifest::to_string() const {
 
 std::optional<Manifest> Manifest::parse(const std::string& text,
                                         std::string* error) {
-  auto fail = [&](int line_no, const std::string& why) {
-    if (error != nullptr) {
-      *error = "manifest line " + std::to_string(line_no) + ": " + why;
-    }
+  const auto fail = [error](const std::string& why) {
+    if (error != nullptr) *error = "manifest " + why;
     return std::nullopt;
   };
+  std::string read_error;
+  const auto entries = sim::kv::read(text, &read_error);
+  if (!entries) return fail(read_error);
 
   Manifest m;
-  bool saw_schema = false, in_spec = false;
-  std::istringstream is(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (in_spec) {
-      if (line == "end_spec") {
-        in_spec = false;
-      } else {
-        m.spec_text += line;
-        m.spec_text += '\n';
-      }
-      continue;
-    }
-    if (line.empty() || line[0] == '#') continue;
-    if (line == "begin_spec") {
-      in_spec = true;
-      continue;
-    }
-    std::string key, value;
-    if (!split_kv(line, &key, &value)) {
-      return fail(line_no, "expected 'key = value'");
-    }
+  bool saw_schema = false;
+  for (const sim::kv::Entry& e : *entries) {
+    const std::string& key = e.key;
+    const std::string& value = e.value;
+    const auto bad = [&](const std::string& what) {
+      return fail(sim::kv::at_line(e.line, what));
+    };
     if (key == "schema") {
-      if (value != kManifestSchema) {
-        return fail(line_no, "unsupported schema '" + value + "'");
-      }
+      if (value != kManifestSchema) return fail(sim::kv::bad_value(e));
       saw_schema = true;
     } else if (key == "fingerprint") {
-      const auto f = parse_u64_strict(value);
-      if (!f) return fail(line_no, "bad fingerprint");
+      const auto f = sim::kv::parse_u64(value);
+      if (!f) return bad("bad fingerprint");
       m.fingerprint = *f;
     } else if (key == "scenarios") {
-      const auto n = parse_u64_strict(value);
-      if (!n) return fail(line_no, "bad scenario count");
+      const auto n = sim::kv::parse_u64(value);
+      if (!n) return bad("bad scenario count");
       m.scenarios = *n;
     } else if (key == "shards") {
-      const auto n = parse_i64_strict(value);
-      if (!n || *n < 1) return fail(line_no, "bad shard count");
-      m.shards = static_cast<int>(*n);
+      const auto n = parse_shards(value);
+      if (!n) return bad("bad shard count");
+      m.shards = *n;
       m.shard_rows.assign(static_cast<std::size_t>(m.shards), Shard{});
+    } else if (key == "begin_spec") {
+      m.spec_text = value;
     } else if (key.rfind("shard ", 0) == 0) {
-      const auto idx = parse_u64_strict(key.substr(6));
+      const auto idx = sim::kv::parse_u64(key.substr(6));
       if (!idx || *idx >= m.shard_rows.size()) {
-        return fail(line_no, "bad shard index in '" + key + "'");
+        return bad("bad shard index in '" + key + "'");
       }
       Shard s;
       std::istringstream vs(value);
@@ -454,48 +351,47 @@ std::optional<Manifest> Manifest::parse(const std::string& text,
           } else if (token == "pending") {
             s.done = false;
           } else {
-            return fail(line_no, "bad shard state '" + token + "'");
+            return bad("bad shard state '" + token + "'");
           }
           first = false;
           continue;
         }
         const std::size_t eq = token.find('=');
         if (eq == std::string::npos) {
-          return fail(line_no, "bad shard field '" + token + "'");
+          return bad("bad shard field '" + token + "'");
         }
         const std::string k = token.substr(0, eq);
         const std::string v = token.substr(eq + 1);
         if (k == "file") {
           s.file = v;
         } else if (k == "results") {
-          const auto n = parse_u64_strict(v);
-          if (!n) return fail(line_no, "bad results count");
+          const auto n = sim::kv::parse_u64(v);
+          if (!n) return bad("bad results count");
           s.results = *n;
         } else if (k == "bytes") {
-          const auto n = parse_u64_strict(v);
-          if (!n) return fail(line_no, "bad byte count");
+          const auto n = sim::kv::parse_u64(v);
+          if (!n) return bad("bad byte count");
           s.bytes = *n;
         } else if (k == "attempts") {
-          const auto n = parse_u64_strict(v);
-          if (!n) return fail(line_no, "bad attempts count");
+          const auto n = sim::kv::parse_u64(v);
+          if (!n) return bad("bad attempts count");
           s.attempts = static_cast<int>(*n);
         } else {
-          return fail(line_no, "unknown shard field '" + k + "'");
+          return bad("unknown shard field '" + k + "'");
         }
       }
-      if (first) return fail(line_no, "empty shard row");
+      if (first) return bad("empty shard row");
       m.shard_rows[static_cast<std::size_t>(*idx)] = s;
     } else if (key.rfind("quarantine ", 0) == 0) {
-      const auto idx = parse_u64_strict(key.substr(11));
-      if (!idx) return fail(line_no, "bad quarantine index");
+      const auto idx = sim::kv::parse_u64(key.substr(11));
+      if (!idx) return bad("bad quarantine index");
       m.quarantined.push_back(Quarantine{*idx, value});
     } else {
-      return fail(line_no, "unknown key '" + key + "'");
+      return fail(sim::kv::unknown_key(e));
     }
   }
-  if (in_spec) return fail(line_no, "unterminated begin_spec block");
-  if (!saw_schema) return fail(line_no, "missing 'schema' line");
-  if (m.shards == 0) return fail(line_no, "missing 'shards' line");
+  if (!saw_schema) return fail("missing 'schema' line");
+  if (m.shards == 0) return fail("missing 'shards' line");
   return m;
 }
 

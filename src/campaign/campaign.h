@@ -4,12 +4,14 @@
 // app x mode x grid x fault-scale x pressure-scale x seed -- plus
 // per-run settings, sharded
 // into contiguous index ranges that worker processes execute independently.
-// Everything is pure data in the repo's strict key=value dialect, so a
-// campaign can be described, resumed and audited without recompiling.
+// Everything is pure data in the repo's strict key=value dialect
+// (sim/key_value.h), so a campaign can be described, resumed and audited
+// without recompiling.
 //
 // The manifest (`ccdem-campaign-manifest-v1`) is the coordinator's
 // checkpoint: it embeds the canonical spec (resume refuses a different
-// matrix via the fingerprint), one row per shard (pending/done + the shard
+// matrix via the fingerprint, and a manifest whose shard or scenario count
+// disagrees with the spec), one row per shard (pending/done + the shard
 // file's result/byte counts), and the quarantine list of scenario indices
 // that crashed or tripped an oracle and were excluded after minimization.
 // The coordinator rewrites it atomically (tmp + rename) after every state

@@ -222,6 +222,12 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
                      "campaign matrix)";
       return result;
     }
+    // The fingerprint pins the spec text, not the manifest's own rows.
+    if (m->shards != spec.shards || m->scenarios != spec.size()) {
+      result.error = "resume: manifest shard or scenario count differs from "
+                     "the campaign spec";
+      return result;
+    }
     manifest = std::move(*m);
   } else {
     manifest = Manifest::fresh(spec);
@@ -320,7 +326,12 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
       const auto text = load_file(fail_path);
       const auto f = text ? parse_fail(*text) : std::nullopt;
       fs::remove(fail_path, ec);
-      if (f && !manifest.is_quarantined(f->index)) {
+      if (f && f->index >= spec.size()) {
+        log_line(options.log, "shard " + std::to_string(s) +
+                                  ": fail sidecar names scenario " +
+                                  std::to_string(f->index) +
+                                  " outside the matrix; ignored");
+      } else if (f && !manifest.is_quarantined(f->index)) {
         quarantine_scenario(spec, manifest, f->index, "oracle: " + f->reason,
                             /*is_crash=*/false, dir, options, result);
         launches[static_cast<std::size_t>(s)] = 0;  // progress was made
@@ -337,6 +348,13 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
       const auto inflight = text ? parse_progress(*text) : std::nullopt;
       if (inflight) {
         for (const std::uint64_t idx : *inflight) {
+          if (idx >= spec.size()) {
+            log_line(options.log, "shard " + std::to_string(s) +
+                                      ": progress sidecar names scenario " +
+                                      std::to_string(idx) +
+                                      " outside the matrix; ignored");
+            continue;
+          }
           if (manifest.is_quarantined(idx)) continue;
           if (!survives_in_isolation(spec, idx, options.worker)) {
             quarantine_scenario(spec, manifest, idx, crash_reason(status),

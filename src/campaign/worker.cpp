@@ -16,6 +16,7 @@
 #include "harness/experiment.h"
 #include "harness/fleet.h"
 #include "obs/obs.h"
+#include "sim/key_value.h"
 
 namespace ccdem::campaign {
 
@@ -82,32 +83,26 @@ std::string progress_to_string(int shard,
 
 std::optional<std::vector<std::uint64_t>> parse_progress(
     const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
+  const auto entries = sim::kv::read(text);
+  if (!entries) return std::nullopt;
   bool saw_schema = false;
   std::optional<std::vector<std::uint64_t>> inflight;
-  while (std::getline(is, line)) {
-    if (line.rfind("schema = ", 0) == 0) {
-      if (line.substr(9) != kProgressSchema) return std::nullopt;
+  for (const sim::kv::Entry& e : *entries) {
+    if (e.key == "schema") {
+      if (e.value != kProgressSchema) return std::nullopt;
       saw_schema = true;
-    } else if (line.rfind("inflight =", 0) == 0) {
-      std::vector<std::uint64_t> out;
-      std::string rest = line.substr(10);
-      std::istringstream vs(rest);
-      std::string item;
-      while (std::getline(vs, item, ',')) {
-        const std::size_t a = item.find_first_not_of(' ');
-        if (a == std::string::npos) continue;
-        errno = 0;
-        char* end = nullptr;
-        const unsigned long long v =
-            std::strtoull(item.c_str() + a, &end, 10);
-        if (errno != 0 || end != item.c_str() + item.size()) {
-          return std::nullopt;
-        }
-        out.push_back(v);
+    } else if (e.key == "shard") {
+      if (!sim::kv::parse_u64(e.value)) return std::nullopt;
+    } else if (e.key == "inflight") {
+      inflight.emplace();
+      if (e.value.empty()) continue;  // nothing in flight
+      for (const std::string& item : sim::kv::split_list(e.value)) {
+        const auto idx = sim::kv::parse_u64(item);
+        if (!idx) return std::nullopt;
+        inflight->push_back(*idx);
       }
-      inflight = std::move(out);
+    } else {
+      return std::nullopt;
     }
   }
   if (!saw_schema || !inflight) return std::nullopt;
@@ -123,23 +118,23 @@ std::string fail_to_string(const FailSidecar& f) {
 }
 
 std::optional<FailSidecar> parse_fail(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
+  const auto entries = sim::kv::read(text);
+  if (!entries) return std::nullopt;
   bool saw_schema = false, saw_index = false;
   FailSidecar f;
-  while (std::getline(is, line)) {
-    if (line.rfind("schema = ", 0) == 0) {
-      if (line.substr(9) != kFailSchema) return std::nullopt;
+  for (const sim::kv::Entry& e : *entries) {
+    if (e.key == "schema") {
+      if (e.value != kFailSchema) return std::nullopt;
       saw_schema = true;
-    } else if (line.rfind("index = ", 0) == 0) {
-      errno = 0;
-      char* end = nullptr;
-      const std::string v = line.substr(8);
-      f.index = std::strtoull(v.c_str(), &end, 10);
-      if (errno != 0 || end != v.c_str() + v.size()) return std::nullopt;
+    } else if (e.key == "index") {
+      const auto idx = sim::kv::parse_u64(e.value);
+      if (!idx) return std::nullopt;
+      f.index = *idx;
       saw_index = true;
-    } else if (line.rfind("reason = ", 0) == 0) {
-      f.reason = line.substr(9);
+    } else if (e.key == "reason") {
+      f.reason = e.value;
+    } else {
+      return std::nullopt;
     }
   }
   if (!saw_schema || !saw_index) return std::nullopt;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "fault/fault_plan.h"
-#include "gfx/compare.h"
 #include "harness/fleet.h"
 #include "metrics/quality.h"
 
@@ -130,28 +129,6 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
                                  "unculled", {"meter.pixels_"})) {
         report.failures.push_back(*d);
       }
-    }
-  }
-
-  if (options.oracle_kernel &&
-      &gfx::kernels::active_kernels() != &gfx::kernels::scalar_kernels()) {
-    // The wide kernels claim bit-exactness, so this diff is total: every
-    // result field (frame hashes included), every counter, and the
-    // serialized trace must match the scalar reference byte for byte.
-    RunOptions scalar_opt;
-    scalar_opt.force_scalar_kernels = true;
-    const RunArtifacts scalar_run = run_scenario_once(cfg, scalar_opt);
-    if (culled.trace_csv != scalar_run.trace_csv) {
-      report.failures.push_back(
-          "kernel: serialized obs trace differs between the active SIMD "
-          "kernel table and the scalar reference");
-    }
-    if (auto d = diff_results(culled.result, scalar_run.result, "kernel")) {
-      report.failures.push_back(*d);
-    }
-    if (auto d = diff_counters(culled.counters, scalar_run.counters,
-                               "kernel")) {
-      report.failures.push_back(*d);
     }
   }
 

@@ -35,10 +35,6 @@ struct CheckOptions {
   bool oracle_spans_off = true;
   /// Fleet oracle runs only when the scenario's `fleet` flag is set, too.
   bool oracle_fleet = true;
-  /// Forced-scalar kernel table vs the CPU-selected one: byte-identical
-  /// everything, serialized trace included.  Skipped (trivially true) when
-  /// the active table already is the scalar one.
-  bool oracle_kernel = true;
   /// Tile-memoization on vs off: identical results, frame hashes and
   /// counters except meter work (meter.pixels_*) and the memo accounting
   /// itself (flinger.memo.*).

@@ -12,9 +12,6 @@
 //                    result (observability is passive),
 //  * fleet        -- the work-stealing FleetRunner vs the serial run
 //                    (identical modulo the pool.* reuse counters),
-//  * kernel       -- the CPU-selected SIMD kernel table vs the forced scalar
-//                    reference; *everything* must match, trace bytes
-//                    included (the variants claim byte-identity),
 //  * tile memo    -- compose memoization on vs off; results, frame hashes
 //                    and counters must match except the meter work and
 //                    flinger.memo.* accounting the skips exist to change,
@@ -48,10 +45,6 @@ struct RunOptions {
   bool spans = true;
   /// Tile-hash compose memoization (the memo oracle's off leg sets false).
   bool tile_memo = true;
-  /// Force the scalar kernel table for this run regardless of CPU or the
-  /// CCDEM_KERNEL override -- the kernel oracle's reference leg.  Swaps the
-  /// process-global table, so only valid for serial (non-fleet) runs.
-  bool force_scalar_kernels = false;
   /// Oracle runs fingerprint every composed frame by default so the diffs
   /// below prove frame-stream identity, not just end-state agreement.
   bool hash_frames = true;

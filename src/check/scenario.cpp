@@ -2,13 +2,14 @@
 
 #include <cassert>
 #include <charconv>
-#include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "apps/app_profiles.h"
 #include "apps/scene_dsl.h"
 #include "fault/fault_plan.h"
 #include "input/script_io.h"
+#include "sim/key_value.h"
 
 namespace ccdem::check {
 
@@ -16,44 +17,19 @@ namespace {
 
 constexpr const char* kSchema = "ccdem-repro-v1";
 
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
+/// `v` as an integer in [lo, hi].
+std::optional<std::int64_t> int_in(const std::string& v, std::int64_t lo,
+                                   std::int64_t hi) {
+  const auto n = sim::kv::parse_i64(v);
+  if (!n || *n < lo || *n > hi) return std::nullopt;
+  return n;
 }
 
-// Strict numeric parsing, same rules as config_io: the whole value must be
-// consumed, doubles must be finite.
-std::optional<long long> parse_int_strict(const std::string& v) {
-  long long out = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  return out;
-}
-
-std::optional<unsigned long long> parse_u64_strict(const std::string& v) {
-  unsigned long long out = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  return out;
-}
-
-std::optional<double> parse_double_strict(const std::string& v) {
-  double out = 0.0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  if (!std::isfinite(out)) return std::nullopt;
-  return out;
-}
-
-std::optional<bool> parse_bool_strict(const std::string& v) {
-  if (v == "0") return false;
-  if (v == "1") return true;
-  return std::nullopt;
+/// `v` as a finite double in [lo, hi].
+std::optional<double> double_in(const std::string& v, double lo, double hi) {
+  const auto d = sim::kv::parse_double(v);
+  if (!d || *d < lo || *d > hi) return std::nullopt;
+  return d;
 }
 
 /// Shortest round-trip decimal (std::to_chars default), so alpha = 0.5
@@ -65,50 +41,26 @@ std::string double_to_string(double v) {
   return std::string(buf, ptr);
 }
 
-std::optional<core::GridSpec> parse_grid(const std::string& v) {
-  if (v == "2k") return core::GridSpec::grid_2k();
-  if (v == "4k") return core::GridSpec::grid_4k();
-  if (v == "9k") return core::GridSpec::grid_9k();
-  if (v == "36k") return core::GridSpec::grid_36k();
-  if (v == "full") return core::GridSpec::full_720p();
-  return std::nullopt;
-}
-
 std::optional<std::vector<int>> parse_rate_list(const std::string& v) {
   std::vector<int> rates;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string item =
-        trim(v.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos));
-    const auto hz = parse_int_strict(item);
-    if (!hz || *hz <= 0 || *hz > 1000) return std::nullopt;
+  for (const std::string& item : sim::kv::split_list(v)) {
+    const auto hz = int_in(item, 1, 1000);
+    if (!hz) return std::nullopt;
     rates.push_back(static_cast<int>(*hz));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
-  if (rates.empty()) return std::nullopt;
   return rates;
 }
 
 std::optional<FaultClasses> parse_fault_classes(const std::string& v) {
   FaultClasses fc{false, false, false, false, false};
   if (v == "none") return fc;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string item =
-        trim(v.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos));
+  for (const std::string& item : sim::kv::split_list(v)) {
     if (item == "switching") fc.switching = true;
     else if (item == "stuck") fc.stuck = true;
     else if (item == "capability") fc.capability = true;
     else if (item == "touch") fc.touch = true;
     else if (item == "meter") fc.meter = true;
     else return std::nullopt;
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   return fc;
 }
@@ -116,18 +68,11 @@ std::optional<FaultClasses> parse_fault_classes(const std::string& v) {
 std::optional<PressureClasses> parse_pressure_classes(const std::string& v) {
   PressureClasses pc{false, false, false};
   if (v == "none") return pc;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string item =
-        trim(v.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos));
+  for (const std::string& item : sim::kv::split_list(v)) {
     if (item == "thermal") pc.thermal = true;
     else if (item == "brownout") pc.brownout = true;
     else if (item == "jitter") pc.jitter = true;
     else return std::nullopt;
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   return pc;
 }
@@ -158,15 +103,19 @@ std::string fault_classes_to_string(const FaultClasses& fc) {
   return out.empty() ? "none" : out;
 }
 
-bool set_error(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-  return false;
-}
-
 }  // namespace
 
 std::optional<apps::AppSpec> find_app(const std::string& name) {
   return apps::find_profile(name);
+}
+
+std::optional<core::GridSpec> parse_grid(const std::string& keyword) {
+  if (keyword == "2k") return core::GridSpec::grid_2k();
+  if (keyword == "4k") return core::GridSpec::grid_4k();
+  if (keyword == "9k") return core::GridSpec::grid_9k();
+  if (keyword == "36k") return core::GridSpec::grid_36k();
+  if (keyword == "full") return core::GridSpec::full_720p();
+  return std::nullopt;
 }
 
 core::GridSpec Scenario::grid_spec() const {
@@ -315,99 +264,19 @@ std::string repro_to_string(const Scenario& s,
 
 std::optional<Scenario> parse_scenario(const std::string& text,
                                        std::string* error) {
+  const auto fail = [error](std::string msg) -> std::optional<Scenario> {
+    if (error != nullptr) *error = std::move(msg);
+    return std::nullopt;
+  };
+  const auto entries = sim::kv::read(text, error);
+  if (!entries) return std::nullopt;
   Scenario s;
-  // Fields with context-dependent defaults start cleared; serialization
-  // always writes them, so a missing key means a hand-edited file.
   bool have_schema = false;
-  std::istringstream is(text);
-  std::string line;
-  int line_no = 0;
-  bool have_script = false;
-  bool have_scene = false;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::string raw = trim(line);
-    if (raw == "begin_scene") {
-      if (have_scene) {
-        set_error(error, "line " + std::to_string(line_no) +
-                             ": duplicate begin_scene");
-        return std::nullopt;
-      }
-      std::string scene_text;
-      bool closed = false;
-      while (std::getline(is, line)) {
-        ++line_no;
-        if (trim(line) == "end_scene") {
-          closed = true;
-          break;
-        }
-        scene_text += line;
-        scene_text += "\n";
-      }
-      if (!closed) {
-        set_error(error, "unterminated begin_scene block");
-        return std::nullopt;
-      }
-      std::string scene_error;
-      const auto scene = apps::scene_spec_from_string(scene_text,
-                                                      &scene_error);
-      if (!scene) {
-        set_error(error, "embedded scene: " + scene_error);
-        return std::nullopt;
-      }
-      // Canonical rendering, so round-trip is byte-exact regardless of the
-      // input's spacing.
-      s.scene = apps::scene_spec_to_string(*scene);
-      have_scene = true;
-      continue;
-    }
-    if (raw == "begin_script") {
-      if (have_script) {
-        set_error(error, "line " + std::to_string(line_no) +
-                             ": duplicate begin_script");
-        return std::nullopt;
-      }
-      std::string script_text;
-      bool closed = false;
-      while (std::getline(is, line)) {
-        ++line_no;
-        if (trim(line) == "end_script") {
-          closed = true;
-          break;
-        }
-        script_text += line;
-        script_text += "\n";
-      }
-      if (!closed) {
-        set_error(error, "unterminated begin_script block");
-        return std::nullopt;
-      }
-      std::string script_error;
-      auto script = input::script_from_string(script_text, &script_error);
-      if (!script) {
-        set_error(error, "embedded script: " + script_error);
-        return std::nullopt;
-      }
-      s.script = std::move(*script);
-      have_script = true;
-      continue;
-    }
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    if (trim(line).empty()) continue;
-
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      set_error(error, "line " + std::to_string(line_no) + ": expected '='");
-      return std::nullopt;
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    const auto bad_value = [&] {
-      set_error(error, "line " + std::to_string(line_no) + ": bad value '" +
-                           value + "' for key '" + key + "'");
-      return std::nullopt;
-    };
+  bool have_app = false;
+  for (const sim::kv::Entry& e : *entries) {
+    const std::string& key = e.key;
+    const std::string& value = e.value;
+    const auto bad_value = [&] { return fail(sim::kv::bad_value(e)); };
 
     if (key == "schema") {
       if (value != kSchema) return bad_value();
@@ -415,6 +284,7 @@ std::optional<Scenario> parse_scenario(const std::string& text,
     } else if (key == "app") {
       if (!find_app(value)) return bad_value();
       s.app = value;
+      have_app = true;
     } else if (key == "mode") {
       const auto m = device::control_mode_from_keyword(value);
       if (!m) return bad_value();
@@ -422,124 +292,113 @@ std::optional<Scenario> parse_scenario(const std::string& text,
     } else if (key == "pipeline") {
       std::string spec_error;
       const auto ps = core::PipelineSpec::parse(value, &spec_error);
-      if (!ps) {
-        set_error(error,
-                  "line " + std::to_string(line_no) + ": " + spec_error);
-        return std::nullopt;
-      }
+      if (!ps) return fail(sim::kv::at_line(e.line, spec_error));
       // Canonical rendering, so round-trip is byte-exact regardless of the
       // input's spacing.
       s.pipeline = ps->to_string();
     } else if (key == "duration_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms <= 0 || *ms > 600'000) return bad_value();
+      const auto ms = int_in(value, 1, 600'000);
+      if (!ms) return bad_value();
       s.duration_ms = *ms;
     } else if (key == "seed") {
-      const auto v = parse_u64_strict(value);
+      const auto v = sim::kv::parse_u64(value);
       if (!v) return bad_value();
       s.seed = *v;
     } else if (key == "grid") {
       if (!parse_grid(value)) return bad_value();
       s.grid = value;
     } else if (key == "eval_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms <= 0 || *ms > 10'000) return bad_value();
+      const auto ms = int_in(value, 1, 10'000);
+      if (!ms) return bad_value();
       s.eval_ms = *ms;
     } else if (key == "boost_hold_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > 60'000) return bad_value();
+      const auto ms = int_in(value, 0, 60'000);
+      if (!ms) return bad_value();
       s.boost_hold_ms = *ms;
     } else if (key == "meter_window_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms <= 0 || *ms > 60'000) return bad_value();
+      const auto ms = int_in(value, 1, 60'000);
+      if (!ms) return bad_value();
       s.meter_window_ms = *ms;
     } else if (key == "alpha") {
-      const auto a = parse_double_strict(value);
-      if (!a || *a < 0.0 || *a > 1.0) return bad_value();
+      const auto a = double_in(value, 0.0, 1.0);
+      if (!a) return bad_value();
       s.alpha = *a;
     } else if (key == "rates") {
       const auto r = parse_rate_list(value);
       if (!r) return bad_value();
       s.rates = *r;
-    } else if (key == "baseline_hz") {
-      const auto hz = parse_int_strict(value);
-      if (!hz || *hz < 0 || *hz > 1000) return bad_value();
-      s.baseline_hz = static_cast<int>(*hz);
-    } else if (key == "min_hz") {
-      const auto hz = parse_int_strict(value);
-      if (!hz || *hz < 0 || *hz > 1000) return bad_value();
-      s.min_hz = static_cast<int>(*hz);
-    } else if (key == "boost_hz") {
-      const auto hz = parse_int_strict(value);
-      if (!hz || *hz < 0 || *hz > 1000) return bad_value();
-      s.boost_hz = static_cast<int>(*hz);
+    } else if (key == "baseline_hz" || key == "min_hz" || key == "boost_hz") {
+      const auto hz = int_in(value, 0, 1000);
+      if (!hz) return bad_value();
+      (key == "baseline_hz" ? s.baseline_hz
+       : key == "min_hz"    ? s.min_hz
+                            : s.boost_hz) = static_cast<int>(*hz);
     } else if (key == "fast_rate_up") {
-      const auto b = parse_bool_strict(value);
+      const auto b = sim::kv::parse_bool(value);
       if (!b) return bad_value();
       s.fast_rate_up = *b;
     } else if (key == "fault_scale") {
-      const auto f = parse_double_strict(value);
-      if (!f || *f < 0.0 || *f > 100.0) return bad_value();
+      const auto f = double_in(value, 0.0, 100.0);
+      if (!f) return bad_value();
       s.fault_scale = *f;
     } else if (key == "fault_until_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > 600'000) return bad_value();
+      const auto ms = int_in(value, 0, 600'000);
+      if (!ms) return bad_value();
       s.fault_until_ms = *ms;
     } else if (key == "fault_classes") {
       const auto fc = parse_fault_classes(value);
       if (!fc) return bad_value();
       s.fault_classes = *fc;
     } else if (key == "pressure_scale") {
-      const auto f = parse_double_strict(value);
-      if (!f || *f < 0.0 || *f > 100.0) return bad_value();
+      const auto f = double_in(value, 0.0, 100.0);
+      if (!f) return bad_value();
       s.pressure_scale = *f;
     } else if (key == "pressure_until_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > 600'000) return bad_value();
+      const auto ms = int_in(value, 0, 600'000);
+      if (!ms) return bad_value();
       s.pressure_until_ms = *ms;
     } else if (key == "pressure_classes") {
       const auto pc = parse_pressure_classes(value);
       if (!pc) return bad_value();
       s.pressure_classes = *pc;
     } else if (key == "fleet") {
-      const auto b = parse_bool_strict(value);
+      const auto b = sim::kv::parse_bool(value);
       if (!b) return bad_value();
       s.fleet = *b;
+    } else if (key == "begin_scene") {
+      std::string scene_error;
+      const auto scene = apps::scene_spec_from_string(value, &scene_error);
+      if (!scene) return fail("embedded scene: " + scene_error);
+      // Canonical rendering, so round-trip is byte-exact regardless of the
+      // input's spacing.
+      s.scene = apps::scene_spec_to_string(*scene);
+    } else if (key == "begin_script") {
+      std::string script_error;
+      auto script = input::script_from_string(value, &script_error);
+      if (!script) return fail("embedded script: " + script_error);
+      s.script = std::move(*script);
     } else {
-      set_error(error,
-                "line " + std::to_string(line_no) + ": unknown key '" + key +
-                    "'");
-      return std::nullopt;
+      return fail(sim::kv::unknown_key(e));
     }
   }
-  if (!have_schema) {
-    set_error(error, "missing required key 'schema'");
-    return std::nullopt;
-  }
-  // Cross-field validation, as in config_io: rung references must be in the
-  // ladder (keys may arrive in any order, so this runs after the whole
-  // parse).
+  if (!have_schema) return fail("missing required key 'schema'");
+  if (!have_app) return fail("missing required key 'app'");
+  // Cross-field validation: rung references must be in the ladder (keys may
+  // arrive in any order, so this runs after the whole parse).
   const display::RefreshRateSet ladder{s.rates};
-  const auto check_in_rates = [&](const char* key, int hz) {
+  for (const auto& [key, hz] : {std::pair{"baseline_hz", s.baseline_hz},
+                                std::pair{"min_hz", s.min_hz},
+                                std::pair{"boost_hz", s.boost_hz}}) {
     if (hz > 0 && !ladder.supports(hz)) {
-      set_error(error, std::string(key) + " = " + std::to_string(hz) +
-                           " is not in the configured rate set");
-      return false;
+      return fail(std::string(key) + " = " + std::to_string(hz) +
+                  " is not in the configured rate set");
     }
-    return true;
-  };
-  if (!check_in_rates("baseline_hz", s.baseline_hz) ||
-      !check_in_rates("min_hz", s.min_hz) ||
-      !check_in_rates("boost_hz", s.boost_hz)) {
-    return std::nullopt;
   }
   if (s.mode == device::ControlMode::kPipeline && s.pipeline.empty()) {
-    set_error(error, "mode = pipeline requires a 'pipeline' key");
-    return std::nullopt;
+    return fail("mode = pipeline requires a 'pipeline' key");
   }
   if (s.mode != device::ControlMode::kPipeline && !s.pipeline.empty()) {
-    set_error(error, "'pipeline' is only valid with mode = pipeline");
-    return std::nullopt;
+    return fail("'pipeline' is only valid with mode = pipeline");
   }
   // A clean scenario must not carry fault-only keys into the canonical form.
   if (s.fault_scale == 0.0) {

@@ -5,11 +5,13 @@
 // field is serializable text -- and expands into a harness::ExperimentConfig
 // on demand, so replaying a repro needs nothing beyond this file's parser.
 //
-// Serialization is the repo's strict key=value dialect (config_io's rules:
-// whole-value numeric parses, no NaN/inf, unknown keys rejected) under the
-// `schema = ccdem-repro-v1` header, with the optional shrunk touch script
-// embedded between `begin_script` / `end_script` markers in the script_io
-// line format.  Round-trip is exact: parse(to_string(s)) == s.
+// Serialization is the repo's strict key=value dialect (sim/key_value.h:
+// whole-value numeric parses, no NaN/inf, unknown and repeated keys
+// rejected) under the `schema = ccdem-repro-v1` header; `app` is required.
+// The optional shrunk touch script is embedded between `begin_script` /
+// `end_script` markers in the script_io line format.  Round-trip is exact:
+// parse(to_string(s)) == s.  The checked-in `configs/*.conf` experiment
+// files are ccdem-repro-v1 text too.
 #pragma once
 
 #include <cstdint>
@@ -121,5 +123,10 @@ struct Scenario {
 /// and the scene-demo apps; std::nullopt for unknown names (app_by_name()
 /// would abort).
 [[nodiscard]] std::optional<apps::AppSpec> find_app(const std::string& name);
+
+/// The metering grid a keyword names (2k | 4k | 9k | 36k | full);
+/// std::nullopt for anything else.
+[[nodiscard]] std::optional<core::GridSpec> parse_grid(
+    const std::string& keyword);
 
 }  // namespace ccdem::check

@@ -8,22 +8,15 @@
 // vectors all share the same code: Rgb888 is three packed bytes with
 // defaulted comparison, so byte equality is exactly pixel equality.
 //
-// The kernels are runtime-dispatched through a function-pointer table
-// (KernelOps).  The scalar implementations below are the reference -- every
-// wide variant (SSE2, AVX2; NEON is stubbed until an ARM port lands) must be
-// byte-identical to them, and check_scenario's kernel oracle proves it over
-// the fuzz corpus.  The active table is selected once, at first use, from
-// CPUID, and can be forced with the CCDEM_KERNEL environment variable
-// (scalar|sse2|avx2|neon; an unsupported choice aborts rather than silently
-// falling back, so CI matrix runs test what they claim to).
+// The kernels are plain scalar code over whole row spans.  The damage-scoped
+// hot path is bound by memcpy/memcmp, which libc and the compiler already
+// vectorize, so hand-written SIMD variants measured within noise of these
+// (DESIGN.md section 12).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstring>
 #include <span>
-#include <string_view>
-#include <vector>
 
 #include "gfx/geometry.h"
 #include "gfx/pixel.h"
@@ -65,14 +58,6 @@ struct FirstDiff {
   bool found = false;
   Point at;
 };
-
-// ---------------------------------------------------------------------------
-// Scalar reference implementations.  Header-inline so tests and the wide
-// variants' tail handling can call them directly; memcmp/memcpy over whole
-// row spans is already well optimised but carries per-call dispatch the wide
-// kernels avoid on the span sizes the compositor actually sees.
-// ---------------------------------------------------------------------------
-namespace scalar {
 
 /// Copies the window row by row.  No clipping: the window must already be
 /// valid for both buffers (clip_copy guarantees this).
@@ -138,119 +123,10 @@ inline void copy_rows(Rgb888* dst_base, int dst_stride, const Rgb888* src_base,
   return {};
 }
 
-/// Gathers `n` scattered pixels (linear offsets into `px`) into `out`.
-inline void gather(const Rgb888* px, const std::size_t* idx, std::size_t n,
-                   Rgb888* out) {
-  for (std::size_t k = 0; k < n; ++k) out[k] = px[idx[k]];
-}
-
-}  // namespace scalar
-
-// ---------------------------------------------------------------------------
-// Runtime dispatch.
-// ---------------------------------------------------------------------------
-
-/// One kernel variant: a name plus the full set of row-span entry points.
-/// Variants differ only in speed -- the kernel oracle holds them to
-/// byte-identical outputs, so callers never care which table is live.
-struct KernelOps {
-  const char* name = "";
-  void (*copy_rows)(Rgb888*, int, const Rgb888*, int, const CopyWindow&) =
-      nullptr;
-  bool (*rows_equal)(const Rgb888*, const Rgb888*, int, Rect) = nullptr;
-  bool (*rows_equal_offset)(const Rgb888*, int, Rect, const Rgb888*, int,
-                            Point) = nullptr;
-  FirstDiff (*first_diff)(const Rgb888*, const Rgb888*, int, Rect) = nullptr;
-  void (*gather)(const Rgb888*, const std::size_t*, std::size_t, Rgb888*) =
-      nullptr;
-};
-
-/// The scalar reference table; always available on every platform.
-[[nodiscard]] const KernelOps& scalar_kernels();
-
-// Wide tables, defined in their own translation units so each can be built
-// with the matching -m flag.  Only referenced where the target architecture
-// compiles them in.
-#if defined(__x86_64__) || defined(__i386__)
-[[nodiscard]] const KernelOps& sse2_kernels();
-[[nodiscard]] const KernelOps& avx2_kernels();
-#elif defined(__ARM_NEON)
-[[nodiscard]] const KernelOps& neon_kernels();
-#endif
-
-/// Tables this build can run on this CPU, scalar first.  NEON is listed only
-/// on ARM builds (currently none -- the entry exists so the dispatch seam is
-/// already in place for a port).
-[[nodiscard]] const std::vector<const KernelOps*>& available_kernels();
-
-/// Looks a variant up by name ("scalar", "sse2", "avx2", "neon") among the
-/// available tables; nullptr when unknown or unsupported on this CPU.
-[[nodiscard]] const KernelOps* find_kernels(std::string_view name);
-
-namespace detail {
-/// Set once on first use (CPUID best, or the CCDEM_KERNEL override); swapped
-/// only by ScopedKernelOverride.  Relaxed is enough: all tables produce
-/// byte-identical results, so readers can never observe a wrong answer.
-extern std::atomic<const KernelOps*> g_active;
-const KernelOps* resolve_and_cache();
-}  // namespace detail
-
-/// The table every dispatch wrapper routes through.
-[[nodiscard]] inline const KernelOps& active_kernels() {
-  const KernelOps* ops = detail::g_active.load(std::memory_order_relaxed);
-  return ops != nullptr ? *ops : *detail::resolve_and_cache();
-}
-
-/// Forces a specific table for the lifetime of the object -- the in-process
-/// leg of the kernel differential oracle and the per-variant benches.  Not
-/// for use while fleet workers are running: the swap is global.
-class ScopedKernelOverride {
- public:
-  explicit ScopedKernelOverride(const KernelOps& ops)
-      : prev_(&active_kernels()) {
-    detail::g_active.store(&ops, std::memory_order_relaxed);
-  }
-  ~ScopedKernelOverride() {
-    detail::g_active.store(prev_, std::memory_order_relaxed);
-  }
-  ScopedKernelOverride(const ScopedKernelOverride&) = delete;
-  ScopedKernelOverride& operator=(const ScopedKernelOverride&) = delete;
-
- private:
-  const KernelOps* prev_;
-};
-
-// ---------------------------------------------------------------------------
-// Dispatch wrappers -- the API every call site uses.  Signatures are
-// unchanged from the pre-dispatch header, so Framebuffer, SurfaceFlinger,
-// GridSampler and the tests compile against them untouched.
-// ---------------------------------------------------------------------------
-
-inline void copy_rows(Rgb888* dst_base, int dst_stride, const Rgb888* src_base,
-                      int src_stride, const CopyWindow& w) {
-  active_kernels().copy_rows(dst_base, dst_stride, src_base, src_stride, w);
-}
-
-[[nodiscard]] inline bool rows_equal(const Rgb888* a, const Rgb888* b,
-                                     int stride, Rect r) {
-  return active_kernels().rows_equal(a, b, stride, r);
-}
-
-[[nodiscard]] inline bool rows_equal_offset(const Rgb888* a, int a_stride,
-                                            Rect a_rect, const Rgb888* b,
-                                            int b_stride, Point b_origin) {
-  return active_kernels().rows_equal_offset(a, a_stride, a_rect, b, b_stride,
-                                            b_origin);
-}
-
-[[nodiscard]] inline FirstDiff first_diff(const Rgb888* a, const Rgb888* b,
-                                          int stride, Rect r) {
-  return active_kernels().first_diff(a, b, stride, r);
-}
-
+/// Gathers the pixels at linear offsets `idx` of `px` into `out`.
 inline void gather(std::span<const Rgb888> px,
                    std::span<const std::size_t> idx, Rgb888* out) {
-  active_kernels().gather(px.data(), idx.data(), idx.size(), out);
+  for (std::size_t k = 0; k < idx.size(); ++k) out[k] = px[idx[k]];
 }
 
 }  // namespace ccdem::gfx::kernels

@@ -1,10 +1,9 @@
 // Fast 64-bit content hashing for tile memoization and frame fingerprints.
 //
 // Requirements, in order:
-//   1. Deterministic and platform/kernel-variant independent -- the hash
-//      feeds counters and oracle fields that must match between forced
-//      scalar and SIMD runs, serial and fleet, Linux and anywhere else.
-//      So: scalar-only, u64-chunked, no dispatch.
+//   1. Deterministic and platform independent -- the hash feeds counters
+//      and oracle fields that must match between serial and fleet runs,
+//      Linux and anywhere else.  So: plain scalar code, u64-chunked.
 //   2. Fast enough to run over every composed tile (an order of magnitude
 //      faster than the old byte-at-a-time FNV-1a content_hash).
 //   3. Well mixed.  NOT required to be collision-free: every memoization
@@ -16,7 +15,7 @@
 // 8-byte chunk.  A single chained splitmix stream is latency-bound (two
 // dependent multiplies per chunk, ~2 GB/s); four chains keep the multiplier
 // pipeline full and run at memory speed, while remaining plain scalar code
-// that hashes bit-identically on every platform and kernel variant.  The
+// that hashes bit-identically on every platform.  The
 // splitmix64 finalizer folds the lanes (and seeds them) so the weaker
 // per-lane mix never reaches a consumer unfinalized.
 #pragma once

@@ -11,8 +11,10 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <variant>
 
+#include "apps/scene_dsl.h"
 #include "campaign/aggregates.h"
 #include "campaign/bin_format.h"
 #include "campaign/convert.h"
@@ -199,6 +201,18 @@ TEST(Manifest, RoundTripsThroughText) {
   const auto in_range = m.quarantined_in(ShardRange{4, 6});
   ASSERT_EQ(in_range.size(), 1u);
   EXPECT_EQ(in_range[0], 4u);
+
+  // The shard count is bounded like CampaignSpec's: never narrowed to a
+  // wrong int, never an unbounded row allocation.
+  const std::string text = m.to_string();
+  const std::string shards_line = "shards = 3\n";
+  ASSERT_NE(text.find(shards_line), std::string::npos);
+  for (const char* bad : {"0", "100001", "2147483648", "4294967297"}) {
+    std::string edited = text;
+    edited.replace(edited.find(shards_line), shards_line.size(),
+                   std::string("shards = ") + bad + "\n");
+    EXPECT_FALSE(Manifest::parse(edited, &error).has_value()) << bad;
+  }
 }
 
 TEST(Manifest, EmbeddedSpecSurvives) {
@@ -225,6 +239,89 @@ TEST(Sidecars, ProgressAndFailRoundTrip) {
   ASSERT_TRUE(fback.has_value());
   EXPECT_EQ(fback->index, 17u);
   EXPECT_EQ(fback->reason, f.reason);
+
+  // Negative indices are rejected, not wrapped to 2^64 - n.
+  EXPECT_FALSE(parse_progress("schema = ccdem-campaign-progress-v1\n"
+                              "shard = 0\ninflight = 5,-3\n")
+                   .has_value());
+  EXPECT_FALSE(parse_fail("schema = ccdem-campaign-fail-v1\nindex = -1\n"
+                          "reason = x\n")
+                   .has_value());
+}
+
+// --- one grammar across every key=value reader -----------------------------
+
+/// `text` with the value of its first `key = ...` line replaced by `value`.
+std::string with_value(const std::string& text, const std::string& key,
+                       const std::string& value) {
+  const std::string prefix = key + " = ";
+  const std::size_t at = text.rfind(prefix, 0) == 0
+                             ? 0
+                             : text.find("\n" + prefix) + 1;
+  const std::size_t end = text.find('\n', at);
+  return text.substr(0, at + prefix.size()) + value + text.substr(end);
+}
+
+TEST(Grammar, EveryReaderRejectsTheSameMalformedValues) {
+  enum class Kind { kSigned, kUnsigned, kDouble };
+  struct Field {
+    const char* key;
+    Kind kind;
+  };
+  struct Reader {
+    const char* name;
+    std::string text;  ///< a valid document
+    std::vector<Field> fields;
+    std::function<bool(const std::string&)> parses;
+  };
+  const std::vector<Reader> readers = {
+      {"scenario",
+       check::scenario_to_string(check::Scenario{}),
+       {{"duration_ms", Kind::kSigned},
+        {"seed", Kind::kUnsigned},
+        {"alpha", Kind::kDouble}},
+       [](const std::string& t) { return check::parse_scenario(t).has_value(); }},
+      {"scene",
+       apps::scene_spec_to_string(
+           apps::SceneSpec::burst_video({700, 12, 30.0, {1, 3}})),
+       {{"gap_ms", Kind::kSigned}, {"burst_fps", Kind::kDouble}},
+       [](const std::string& t) {
+         return apps::scene_spec_from_string(t).has_value();
+       }},
+      {"campaign spec",
+       tiny_spec().to_string(),
+       {{"duration_ms", Kind::kSigned},
+        {"seeds", Kind::kUnsigned},
+        {"fault_scales", Kind::kDouble}},
+       [](const std::string& t) { return CampaignSpec::parse(t).has_value(); }},
+      {"manifest",
+       Manifest::fresh(tiny_spec()).to_string(),
+       {{"shards", Kind::kSigned}, {"fingerprint", Kind::kUnsigned}},
+       [](const std::string& t) { return Manifest::parse(t).has_value(); }},
+      {"progress sidecar",
+       progress_to_string(2, {5, 6}),
+       {{"shard", Kind::kUnsigned}},
+       [](const std::string& t) { return parse_progress(t).has_value(); }},
+      {"fail sidecar",
+       fail_to_string(FailSidecar{17, "oracle: x"}),
+       {{"index", Kind::kUnsigned}},
+       [](const std::string& t) { return parse_fail(t).has_value(); }},
+  };
+  for (const Reader& r : readers) {
+    ASSERT_TRUE(r.parses(r.text)) << r.name;
+    for (const Field& f : r.fields) {
+      std::vector<std::string> bad = {"", "12abc", "nan", "inf", "1e999",
+                                      "+5", "0x10"};
+      if (f.kind == Kind::kUnsigned) bad.push_back("-1");
+      for (const std::string& v : bad) {
+        EXPECT_FALSE(r.parses(with_value(r.text, f.key, v)))
+            << r.name << ": " << f.key << " = " << v;
+      }
+      // A repeated key is a conflict, never last-wins.
+      const std::string line = std::string(f.key) + " = 1\n";
+      EXPECT_FALSE(r.parses(r.text + line)) << r.name << ": repeated " << f.key;
+    }
+  }
 }
 
 TEST(Files, AtomicSaveAndLoad) {
@@ -476,6 +573,23 @@ TEST(Campaign, ResumeRefusesADifferentMatrix) {
   const CampaignResult result = run_campaign(other, tmp.path(), opts);
   EXPECT_FALSE(result.complete);
   EXPECT_NE(result.error.find("fingerprint"), std::string::npos);
+
+  // The fingerprint pins the spec text, not the manifest's own rows: a
+  // manifest whose shard or scenario count disagrees is refused too.
+  for (const bool edit_shards : {true, false}) {
+    Manifest m = Manifest::fresh(spec);
+    if (edit_shards) {
+      m.shards = 5;
+      m.shard_rows.resize(5);
+    } else {
+      m.scenarios += 1;
+    }
+    ASSERT_TRUE(
+        save_file_atomic(tmp.file(manifest_file_name()), m.to_string()));
+    const CampaignResult r = run_campaign(spec, tmp.path(), opts);
+    EXPECT_FALSE(r.complete);
+    EXPECT_NE(r.error.find("count differs"), std::string::npos) << r.error;
+  }
 }
 
 TEST(Campaign, CrashingScenarioIsQuarantinedWithARepro) {

@@ -8,6 +8,7 @@
 #include "check/dst.h"
 #include "check/oracles.h"
 #include "device/simulated_device.h"
+#include "fault/fault_plan.h"
 #include "input/monkey.h"
 
 namespace ccdem::check {
@@ -96,6 +97,9 @@ TEST(ScenarioIo, EveryFieldRoundTrips) {
   EXPECT_EQ(*parsed, s);
   // Serialization is canonical: re-serializing the parse is byte-identical.
   EXPECT_EQ(scenario_to_string(*parsed), text);
+  // fault_scale scales the nominal plan; enabled classes keep their rates.
+  EXPECT_DOUBLE_EQ(parsed->experiment_config().fault.switch_nak_p,
+                   fault::FaultPlan::nominal().switch_nak_p * 1.5);
 }
 
 TEST(ScenarioIo, GeneratedScenariosRoundTrip) {
@@ -118,23 +122,91 @@ TEST(ScenarioIo, ReproFileParsesThroughHeader) {
   const auto parsed = parse_scenario(repro, &error);
   ASSERT_TRUE(parsed) << error;
   EXPECT_EQ(*parsed, s);
+
+  // Hand-written files: blank lines, full-line and trailing comments, spaced
+  // lists, and ladder rungs named before the ladder itself.
+  const auto hand = parse_scenario(
+      "\n# leading comment\nschema = ccdem-repro-v1\n\n"
+      "app = Naver   # trailing comment\nbaseline_hz = 90\nmin_hz = 30\n"
+      "rates = 30, 60, 90\n",
+      &error);
+  ASSERT_TRUE(hand) << error;
+  EXPECT_EQ(hand->app, "Naver");
+  EXPECT_EQ(hand->rates, (std::vector<int>{30, 60, 90}));
+  EXPECT_EQ(hand->baseline_hz, 90);
+  EXPECT_EQ(hand->min_hz, 30);
+  for (const char* mode :
+       {"baseline", "section", "section+boost", "naive", "hysteresis", "e3"}) {
+    EXPECT_TRUE(parse_scenario(
+        std::string("schema = ccdem-repro-v1\napp = Facebook\nmode = ") +
+        mode + "\n"))
+        << mode;
+  }
 }
 
 TEST(ScenarioIo, RejectsMalformedInput) {
+  struct Case {
+    std::string body;  ///< lines after the schema line
+    const char* error;  ///< substring the error must contain
+  };
+  const Case cases[] = {
+      {"not_a_key = 1\n", "unknown key"},
+      {"brightnes = 50\n", "brightnes"},
+      {"nonsense\n", "line 3"},  // malformed line, reported by number
+      {"mode = warp-drive\n", "bad value"},
+      {"seed = 1\nseed = 2\n", "duplicate"},
+      // Whole-value numbers: no trailing garbage, NaN or infinity.
+      {"duration_ms = 12abc\n", "bad value"},
+      {"seed = 7seven\n", "bad value"},
+      {"eval_ms = 100ms\n", "bad value"},
+      {"boost_hold_ms = 1e2x\n", "bad value"},
+      {"alpha = 0.5!\n", "bad value"},
+      {"baseline_hz = 60Hz\n", "bad value"},
+      {"alpha = nan\n", "bad value"},
+      {"alpha = inf\n", "bad value"},
+      {"alpha = -inf\n", "bad value"},
+      {"fault_scale = nan\n", "bad value"},
+      {"fault_scale = inf\n", "bad value"},
+      // Ranges.
+      {"duration_ms = -3\n", "bad value"},
+      {"alpha = 1.5\n", "bad value"},
+      {"alpha = -0.1\n", "bad value"},
+      {"grid = 17k\n", "bad value"},
+      {"eval_ms = 0\n", "bad value"},
+      {"boost_hold_ms = -1\n", "bad value"},
+      {"fault_scale = -1\n", "bad value"},
+      {"min_hz = -24\n", "bad value"},
+      {"rates = 20,0,60\n", "rates"},
+      {"rates = -30\n", "rates"},
+      {"rates = \n", "rates"},
+      // Rungs must be on the ladder, whichever key comes first.
+      {"baseline_hz = 45\n", "baseline_hz = 45"},
+      {"min_hz = 25\nrates = 20,24,30,40,60\n", "min_hz"},
+      {"rates = 30,60\nboost_hz = 40\n", "boost_hz"},
+      // mode = pipeline and the pipeline key come as a pair, in any order.
+      {"mode = pipeline\n", "pipeline"},
+      {"pipeline = section\nmode = section\n", "pipeline"},
+      {"mode = pipeline\npipeline = section\npipeline = naive\n",
+       "duplicate"},
+      {"begin_script\ngarbage\nend_script\n", "script"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_FALSE(parse_scenario(
+        "schema = ccdem-repro-v1\napp = Facebook\n" + c.body, &error))
+        << c.body;
+    EXPECT_NE(error.find(c.error), std::string::npos) << c.body << error;
+  }
   std::string error;
   EXPECT_FALSE(parse_scenario("", &error));
-  EXPECT_FALSE(parse_scenario("schema = wrong-schema\n", &error));
-  EXPECT_FALSE(
-      parse_scenario("schema = ccdem-repro-v1\nnot_a_key = 1\n", &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(
-      parse_scenario("schema = ccdem-repro-v1\nduration_ms = 12abc\n", &error));
-  EXPECT_FALSE(
-      parse_scenario("schema = ccdem-repro-v1\nalpha = nan\n", &error));
-  EXPECT_FALSE(
-      parse_scenario("schema = ccdem-repro-v1\nmode = warp-drive\n", &error));
-  EXPECT_FALSE(parse_scenario(
-      "schema = ccdem-repro-v1\nbegin_script\ngarbage\nend_script\n", &error));
+  EXPECT_FALSE(parse_scenario("schema = wrong-schema\napp = Facebook\n",
+                              &error));
+  EXPECT_FALSE(parse_scenario("schema = ccdem-repro-v1\nmode = section\n",
+                              &error));
+  EXPECT_NE(error.find("'app'"), std::string::npos) << error;
+  EXPECT_FALSE(parse_scenario("schema = ccdem-repro-v1\napp = Nonexistent\n",
+                              &error));
+  EXPECT_NE(error.find("Nonexistent"), std::string::npos) << error;
 }
 
 TEST(ScenarioIo, UnknownAppIsReportedByCheck) {

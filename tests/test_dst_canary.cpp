@@ -112,7 +112,6 @@ CheckOptions invariants_only() {
   o.oracle_unculled = false;
   o.oracle_spans_off = false;
   o.oracle_fleet = false;
-  o.oracle_kernel = false;
   o.oracle_tile_memo = false;
   o.oracle_reference = false;
   o.quality_arm = false;
@@ -198,7 +197,6 @@ CheckOptions determinism_only() {
   o.oracle_unculled = false;
   o.oracle_spans_off = false;
   o.oracle_fleet = false;
-  o.oracle_kernel = false;
   o.oracle_tile_memo = false;
   o.oracle_reference = false;
   o.invariants = false;

@@ -12,8 +12,9 @@
 //
 // then review the diff of tests/golden/*.trace like any other code change.
 //
-// The runs override the configs' duration to kGoldenSeconds so the suite
-// stays fast; everything else comes from the config file.  Span recording
+// The configs are ccdem-repro-v1 scenario files.  The runs override their
+// duration to kGoldenSeconds so the suite stays fast; everything else comes
+// from the config file.  Span recording
 // must be compiled in (CCDEM_OBS_SPANS=1, the default) for the byte
 // comparison -- a spans-off build skips the golden diff but still checks
 // counter determinism.
@@ -28,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/config_io.h"
+#include "check/scenario.h"
 #include "harness/experiment.h"
 #include "harness/fleet.h"
 #include "obs/obs.h"
@@ -49,14 +50,20 @@ std::string repo_path(const std::string& rel) {
   return std::string(CCDEM_REPO_DIR) + "/" + rel;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 harness::ExperimentConfig load_config(const std::string& name) {
-  std::ifstream file(repo_path("configs/" + name + ".conf"));
-  EXPECT_TRUE(file.good()) << "missing config " << name;
   std::string error;
-  auto config = harness::parse_experiment_config(file, &error);
-  EXPECT_TRUE(config.has_value()) << error;
-  config->duration = sim::seconds(kGoldenSeconds);
-  return *config;
+  auto scenario = check::parse_scenario(
+      read_file(repo_path("configs/" + name + ".conf")), &error);
+  EXPECT_TRUE(scenario.has_value()) << name << ": " << error;
+  scenario->duration_ms = kGoldenSeconds * 1000;
+  return scenario->experiment_config();
 }
 
 /// Runs `config` with a fresh sink and serializes the full trace.
@@ -71,13 +78,6 @@ std::string run_and_serialize(harness::ExperimentConfig config) {
 bool updating_goldens() {
   const char* env = std::getenv("CCDEM_UPDATE_GOLDEN");
   return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 class GoldenTraces : public ::testing::TestWithParam<const char*> {};
