@@ -84,7 +84,7 @@ BENCHMARK(BM_GridSample)->DenseRange(0, 4);
 // --- row-span kernels -------------------------------------------------------
 
 /// Full-frame equality through rows_equal -- the worst case (equal buffers,
-/// no early-out) and the memoization verify's hot loop.
+/// no early-out), which the compositor's compare pays on unchanged content.
 void BM_RowsEqual(benchmark::State& state) {
   const gfx::Framebuffer a = make_noise_frame(1);
   const gfx::Framebuffer b = a;

@@ -5,11 +5,10 @@
 // simulated frames per wall-clock second, pixels composed/compared per
 // second, and the per-stage pixel-traffic split -- across four
 // representative workloads (static UI, feed scroll, game, video) for
-// serial execution, the FleetRunner, and a `reference` arm (tile
-// memoization off) equivalent to the pre-memoization hot path.  It writes
-// BENCH_throughput.json (schema below, versioned) so the perf trajectory of
-// the repo is machine-readable and CI can fail on regressions; see
-// DESIGN.md sections 8 and 12.
+// serial execution and the FleetRunner.  It writes BENCH_throughput.json
+// (schema below, versioned) so the perf trajectory of the repo is
+// machine-readable and CI can fail on regressions; see DESIGN.md sections
+// 8 and 12.
 //
 // Usage:  bench_throughput [sim_seconds_per_run] [output.json]
 //         CCDEM_BENCH_SECONDS / CCDEM_BENCH_OUT override the defaults
@@ -45,8 +44,8 @@ struct Profile {
 /// (frames are mostly redundant -- the paper's motivating case), a
 /// scroll-heavy feed (large vertical damage bands), a sprite game
 /// (scattered small damage at 60 Hz), and video playback (a full-width band
-/// redrawn every decoded frame with high inter-frame coherence -- the tile
-/// cache's showcase).
+/// redrawn every decoded frame with high inter-frame coherence, so the
+/// compositor's compare skips most of it).
 std::vector<Profile> profiles() {
   std::vector<Profile> v;
   v.push_back({"static_ui", apps::app_by_name("Auction"),
@@ -64,39 +63,9 @@ std::vector<Profile> profiles() {
   return v;
 }
 
-/// Serial frames-per-wall-second of the immediate pre-PR tree, measured by
-/// replaying this bench's exact workload recipe against a worktree checked
-/// out just before the kernel-dispatch/memoization PR (same machine, same
-/// default-configure build, 30 s per run, best of 3).  Kept in the source so
-/// regeneration reproduces the comparison instead of losing it.
-struct PrePrBaseline {
-  const char* profile;
-  double frames_per_wall_s;
-};
-constexpr PrePrBaseline kPrePr[] = {
-    {"static_ui", 11333.0},
-    {"feed_scroll", 9679.0},
-    {"game", 18267.0},
-    {"video", 3477.0},
-};
-constexpr const char* kPrePrNote =
-    "serial throughput of the immediate pre-PR tree, replayed with this "
-    "bench's recipe (same machine, default-configure build, 30 s runs, best "
-    "of 3).  The pre-PR hot path was already damage-scoped and memcpy-bound, "
-    "so the kernel/memoization work shifts per-stage pixel traffic (see "
-    "pixels_written_per_s / pixels_compared_per_s) more than end-to-end "
-    "frames/s -- see DESIGN.md section 12 for the bandwidth analysis.";
-
-double pre_pr_fps(const std::string& profile) {
-  for (const PrePrBaseline& b : kPrePr) {
-    if (profile == b.profile) return b.frames_per_wall_s;
-  }
-  return 0.0;
-}
-
 /// 1 s smoke numbers for the CI regression gate (best of 3 on the recording
 /// machine).  Short runs are setup-dominated, so CI compares equal-length
-/// runs against this block, never against the 30 s numbers above.
+/// runs against this block, never against 30 s numbers.
 struct SmokeBaseline {
   const char* profile;
   double frames_per_wall_s;
@@ -110,20 +79,16 @@ constexpr SmokeBaseline kSmoke[] = {
 };
 
 std::vector<harness::ExperimentConfig> make_configs(const Profile& p,
-                                                    int seconds,
-                                                    bool tile_memo = true) {
+                                                    int seconds) {
   std::vector<harness::ExperimentConfig> configs;
   for (int i = 0; i < kRunsPerProfile; ++i) {
-    harness::ExperimentConfig c =
-        bench::make_config(p.app, p.mode, seconds, /*seed=*/1 + i);
-    c.tile_memo = tile_memo;
-    configs.push_back(std::move(c));
+    configs.push_back(
+        bench::make_config(p.app, p.mode, seconds, /*seed=*/1 + i));
   }
   return configs;
 }
 
-/// One measured arm (serial, fleet, or reference) over a profile's config
-/// set.
+/// One measured arm (serial or fleet) over a profile's config set.
 struct ArmResult {
   double wall_ms = 0.0;
   std::uint64_t sim_frames = 0;
@@ -176,18 +141,10 @@ ArmResult run_fleet(const std::vector<harness::ExperimentConfig>& configs) {
 
 /// Counter totals must be scheduling-independent; only pool.*
 /// counters legitimately differ (fleet workers share one device per
-/// thread), and the reference arm additionally differs in the memo/meter
-/// work counters the memoization exists to change.
-bool counters_identical(const obs::Counters& a, const obs::Counters& b,
-                        bool ignore_memo_work = false) {
-  const auto ignored = [&](const std::string& name) {
-    if (name.rfind("pool.", 0) == 0) return true;
-    if (ignore_memo_work &&
-        (name.rfind("flinger.memo.", 0) == 0 ||
-         name.rfind("meter.pixels_", 0) == 0)) {
-      return true;
-    }
-    return false;
+/// thread).
+bool counters_identical(const obs::Counters& a, const obs::Counters& b) {
+  const auto ignored = [](const std::string& name) {
+    return name.rfind("pool.", 0) == 0;
   };
   for (const auto& [name, value] : b.snapshot().counters) {
     if (!ignored(name) && a.value(name) != value) return false;
@@ -259,11 +216,9 @@ int main(int argc, char** argv) {
 
   struct Row {
     Profile profile;
-    ArmResult serial;  // memoization on
+    ArmResult serial;
     ArmResult fleet;
-    ArmResult reference;  // memoization off (pre-PR path)
-    bool identical = false;            // serial vs fleet
-    bool reference_identical = false;  // reference vs serial, modulo memo work
+    bool identical = false;  // serial vs fleet
   };
   std::vector<Row> rows;
 
@@ -277,29 +232,18 @@ int main(int argc, char** argv) {
     row.profile = p;
     row.serial = run_serial(make_configs(p, seconds));
     row.fleet = run_fleet(make_configs(p, seconds));
-    row.reference =
-        run_serial(make_configs(p, seconds, /*tile_memo=*/false));
     row.identical = counters_identical(row.serial.counters,
                                        row.fleet.counters);
-    row.reference_identical =
-        counters_identical(row.serial.counters, row.reference.counters,
-                           /*ignore_memo_work=*/true);
     rows.push_back(std::move(row));
   }
 
   harness::TextTable table({"profile", "app", "serial fps", "fleet fps",
-                            "ref fps", "speedup", "Mpx written/s",
-                            "Mpx compared/s", "counters"});
+                            "Mpx written/s", "Mpx compared/s", "counters"});
   for (const Row& r : rows) {
-    const double ref_fps = r.reference.frames_per_wall_s();
     table.add_row(
         {r.profile.name, r.profile.app.name,
          harness::fmt(r.serial.frames_per_wall_s(), 0),
          harness::fmt(r.fleet.frames_per_wall_s(), 0),
-         harness::fmt(ref_fps, 0),
-         harness::fmt(
-             ref_fps <= 0.0 ? 0.0 : r.serial.frames_per_wall_s() / ref_fps,
-             2),
          harness::fmt(r.serial.per_wall_s(static_cast<double>(
                           r.serial.counters.value(
                               "flinger.memo.pixels_written"))) /
@@ -309,7 +253,7 @@ int main(int argc, char** argv) {
                           r.serial.counters.value("meter.pixels_compared"))) /
                           1e6,
                       1),
-         r.identical && r.reference_identical ? "identical" : "DIVERGED"});
+         r.identical ? "identical" : "DIVERGED"});
   }
   table.print(std::cout);
 
@@ -320,7 +264,7 @@ int main(int argc, char** argv) {
   }
   harness::JsonWriter w(out);
   w.begin_object();
-  w.kv("schema", "ccdem-bench-throughput-v3");
+  w.kv("schema", "ccdem-bench-throughput-v4");
   w.kv("generated_by", "bench_throughput");
   w.kv("sim_seconds_per_run", seconds);
   w.kv("runs_per_profile", kRunsPerProfile);
@@ -328,7 +272,7 @@ int main(int argc, char** argv) {
   w.begin_array();
   bool all_identical = true;
   for (const Row& r : rows) {
-    all_identical = all_identical && r.identical && r.reference_identical;
+    all_identical = all_identical && r.identical;
     w.begin_object();
     w.kv("name", r.profile.name);
     w.kv("app", r.profile.app.name);
@@ -337,39 +281,15 @@ int main(int argc, char** argv) {
     write_arm(w, r.serial);
     w.key("fleet");
     write_arm(w, r.fleet);
-    w.key("reference");
-    write_arm(w, r.reference);
     w.kv("counters_identical", r.identical);
-    w.kv("reference_identical", r.reference_identical);
     w.kv("speedup_fleet_over_serial",
          r.serial.wall_ms <= 0.0 || r.fleet.wall_ms <= 0.0
              ? 0.0
              : r.serial.wall_ms / r.fleet.wall_ms);
-    w.kv("speedup_vs_reference",
-         r.reference.frames_per_wall_s() <= 0.0
-             ? 0.0
-             : r.serial.frames_per_wall_s() /
-                   r.reference.frames_per_wall_s());
-    const double pre = pre_pr_fps(r.profile.name);
-    w.kv("speedup_vs_pre_pr",
-         pre <= 0.0 ? 0.0 : r.serial.frames_per_wall_s() / pre);
     w.end_object();
   }
   w.end_array();
   w.kv("all_counters_identical", all_identical);
-  w.key("pre_pr_baseline");
-  w.begin_object();
-  w.kv("note", kPrePrNote);
-  w.key("profiles");
-  w.begin_object();
-  for (const PrePrBaseline& b : kPrePr) {
-    w.key(b.profile);
-    w.begin_object();
-    w.kv("frames_per_wall_s", b.frames_per_wall_s);
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
   w.key("smoke_baseline");
   w.begin_object();
   w.kv("note",

@@ -98,13 +98,13 @@ struct SceneSpec {
   // --- kVideo: full-width video region updating at the video frame rate ---
   double video_fps = 24.0;
   /// The synthetic clip loops after this many decoded frames (0 = never):
-  /// past one loop every frame is an exact repeat of a frame one period ago,
-  /// the whole-frame memoization case (video loops, trailer autoplay).
+  /// past one loop every frame is an exact repeat of a frame one period ago
+  /// (video loops, trailer autoplay).
   int video_loop_frames = 96;
   /// Decoded frames per "cut": the gradient backdrop only changes when the
   /// cut index changes, so consecutive frames inside a cut share most rows
-  /// -- the inter-frame coherence real codecs exhibit (and the tile cache
-  /// exploits); the moving blocks still change every frame.
+  /// -- the inter-frame coherence real codecs exhibit (and the compositor's
+  /// compare skips); the moving blocks still change every frame.
   int video_cut_frames = 12;
 
   // --- kGame: sprites over a static background; logic ticks at content fps

@@ -61,7 +61,7 @@ bool VideoScene::render(gfx::Canvas& canvas, sim::Time t) {
   if (version != last_version_) {
     last_version_ = version;
     // The clip loops: past one period every decoded frame repeats an earlier
-    // one exactly, which is what whole-frame memoization keys on.
+    // one exactly.
     const std::int64_t looped = spec_.video_loop_frames > 0
                                     ? version % spec_.video_loop_frames
                                     : version;

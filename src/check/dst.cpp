@@ -132,31 +132,6 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
     }
   }
 
-  if (options.oracle_tile_memo) {
-    RunOptions memo_off;
-    memo_off.tile_memo = false;
-    const RunArtifacts unmemoized = run_scenario_once(cfg, memo_off);
-    // Meter bit-flip faults split the legs the same way they split
-    // culled-vs-unculled: skipped tile writes shrink the damage region, so
-    // a corrupted retained sample outside the shrunk damage is invisible to
-    // the memoized run but not to the reference.  Clean runs must agree.
-    const bool meter_faults = s.fault_scale > 0.0 && s.fault_classes.meter;
-    if (!meter_faults) {
-      if (auto d =
-              diff_results(culled.result, unmemoized.result, "tile-memo")) {
-        report.failures.push_back(*d);
-      }
-      // Skipping writes is allowed to change exactly two things: how much
-      // the meter had to compare (damage shrinks to the proven-changed
-      // tiles) and the memo accounting itself.
-      if (auto d = diff_counters(culled.counters, unmemoized.counters,
-                                 "tile-memo",
-                                 {"meter.pixels_", "flinger.memo."})) {
-        report.failures.push_back(*d);
-      }
-    }
-  }
-
   if (options.oracle_spans_off) {
     const RunArtifacts quiet = run_scenario_once(cfg, {true, false});
     if (auto d = diff_results(culled.result, quiet.result, "spans-off")) {

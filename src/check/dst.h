@@ -35,10 +35,6 @@ struct CheckOptions {
   bool oracle_spans_off = true;
   /// Fleet oracle runs only when the scenario's `fleet` flag is set, too.
   bool oracle_fleet = true;
-  /// Tile-memoization on vs off: identical results, frame hashes and
-  /// counters except meter work (meter.pixels_*) and the memo accounting
-  /// itself (flinger.memo.*).
-  bool oracle_tile_memo = true;
   bool oracle_reference = true;
   bool invariants = true;
   /// I4: clean proposed-system scenarios get a baseline-60 quality arm.

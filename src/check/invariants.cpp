@@ -295,15 +295,19 @@ void TraceInvariantChecker::check_meter_accounting(
 
 void TraceInvariantChecker::check_counter_graph(
     const RunArtifacts& r, std::vector<std::string>& out) const {
-  const auto expect_eq = [&](std::string_view name, std::uint64_t want,
-                             const char* what) {
+  // A counter the run must register: reports its absence as a failure.
+  const auto registered = [&](std::string_view name) {
     const auto got = find_counter(r.counters, name);
     if (!got) {
       out.push_back(std::string("I6 counters: '") + std::string(name) +
                     "' was never registered");
-      return;
     }
-    if (*got != want) {
+    return got;
+  };
+  const auto expect_eq = [&](std::string_view name, std::uint64_t want,
+                             const char* what) {
+    const auto got = registered(name);
+    if (got && *got != want) {
       std::ostringstream os;
       os << "I6 counters: " << name << " = " << *got << " but " << what
          << " = " << want;
@@ -341,27 +345,17 @@ void TraceInvariantChecker::check_counter_graph(
     out.push_back(os.str());
   }
 
-  // Memo accounting: every logically composed pixel was either physically
-  // written or proven unchanged and skipped -- in both memo modes (with
-  // memoization off, written == composed and skipped == 0).
-  if (const auto written =
-          find_counter(r.counters, "flinger.memo.pixels_written")) {
-    const std::uint64_t skipped =
-        find_counter(r.counters, "flinger.memo.pixels_skipped").value_or(0);
+  // Compose accounting: every logically composed pixel was either
+  // physically written or found unchanged and skipped.
+  const auto written = registered("flinger.memo.pixels_written");
+  const auto skipped = registered("flinger.memo.pixels_skipped");
+  if (written && skipped) {
     const std::uint64_t pixels =
         find_counter(r.counters, "flinger.pixels_composed").value_or(0);
-    if (*written + skipped != pixels) {
+    if (*written + *skipped != pixels) {
       std::ostringstream os;
       os << "I6 counters: memo pixels_written " << *written << " + skipped "
-         << skipped << " != pixels_composed " << pixels;
-      out.push_back(os.str());
-    }
-    const std::uint64_t memo_frames =
-        find_counter(r.counters, "flinger.memo.frames_memoized").value_or(0);
-    if (memo_frames > composed) {
-      std::ostringstream os;
-      os << "I6 counters: " << memo_frames << " memoized frames > "
-         << composed << " composed";
+         << *skipped << " != pixels_composed " << pixels;
       out.push_back(os.str());
     }
   }

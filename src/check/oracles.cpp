@@ -70,7 +70,6 @@ RunArtifacts run_scenario_once(harness::ExperimentConfig cfg,
   cfg.obs = &sink;
   cfg.dpm.meter.damage_culling = opt.damage_culling;
   cfg.governor.meter.damage_culling = opt.damage_culling;
-  cfg.tile_memo = opt.tile_memo;
   cfg.hash_frames = opt.hash_frames;
   RunArtifacts out;
   out.result = harness::run_experiment(cfg);

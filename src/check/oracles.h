@@ -12,9 +12,6 @@
 //                    result (observability is passive),
 //  * fleet        -- the work-stealing FleetRunner vs the serial run
 //                    (identical modulo the pool.* reuse counters),
-//  * tile memo    -- compose memoization on vs off; results, frame hashes
-//                    and counters must match except the meter work and
-//                    flinger.memo.* accounting the skips exist to change,
 //  * section ref  -- SectionTable/policy decisions vs a brute-force
 //                    reimplementation of Equation (1).
 #pragma once
@@ -43,8 +40,6 @@ struct RunArtifacts {
 struct RunOptions {
   bool damage_culling = true;
   bool spans = true;
-  /// Tile-hash compose memoization (the memo oracle's off leg sets false).
-  bool tile_memo = true;
   /// Oracle runs fingerprint every composed frame by default so the diffs
   /// below prove frame-stream identity, not just end-state agreement.
   bool hash_frames = true;

@@ -147,24 +147,14 @@ bool ContentRateMeter::classify_full_frame(const gfx::Framebuffer& fb,
 
 void ContentRateMeter::on_frame(const gfx::FrameInfo& info,
                                 const gfx::Framebuffer& fb) {
-  // The compositor fills info.damage; hand-built frames (tests) may only
-  // set the dirty bounding box, which is a valid over-approximation of the
-  // damage.  Both empty means no pixel changed.
-  gfx::Region dirty_fallback;
-  const gfx::Region* damage = &info.damage;
-  if (info.damage.empty() && !info.dirty.empty()) {
-    dirty_fallback = gfx::Region(info.dirty);
-    damage = &dirty_fallback;
-  }
-
   const bool primed = have_prev_;
   if (sample_fault_ != nullptr && primed &&
       mode_ == MeterMode::kSampledSnapshot) {
     sample_fault_->corrupt_samples(info.composed_at, samples_);
   }
   bool meaningful = mode_ == MeterMode::kFullFrame
-                        ? classify_full_frame(fb, *damage, primed)
-                        : classify_sampled(fb, *damage, primed);
+                        ? classify_full_frame(fb, info.damage, primed)
+                        : classify_sampled(fb, info.damage, primed);
   // The very first composed frame necessarily shows new content.
   if (!primed) meaningful = true;
   have_prev_ = true;

@@ -41,13 +41,6 @@ struct DeviceConfig {
   std::uint64_t seed = 1;
   /// Monsoon meter sampling cadence.
   sim::Duration power_sample = sim::milliseconds(50);
-  /// Exact pixel ground truth in the compositor (needed for quality and
-  /// meter-error metrics; cheap because it only scans dirty regions).
-  bool exact_change_detection = true;
-  /// Tile-hash compose memoization in the flinger (gfx/tile_cache.h).  On
-  /// by default; composed frames are byte-identical either way -- off is the
-  /// differential reference the DST memo oracle runs against.
-  bool tile_memo = true;
   /// Screen brightness in [0, 1]; the paper measures at 50 %.
   double brightness = 0.5;
   /// Fixed rate of the kBaseline60 arm; 0 = the rate set's maximum.
@@ -55,9 +48,6 @@ struct DeviceConfig {
   /// Panel "fast exit": rate increases retime the next V-Sync instead of
   /// waiting out the old period.
   bool fast_rate_up = false;
-  /// Attach a touch-response latency recorder (on for experiments; benches
-  /// that do not report latency can leave it on -- it is passive).
-  bool record_latency = true;
   /// OLED extension: replace the constant panel term with a luma-tracking
   /// emission model.  Set `power.panel_static_mw = 0` alongside this.
   std::optional<power::OledParams> oled;

@@ -80,8 +80,6 @@ void SimulatedDevice::configure(const DeviceConfig& config) {
 
   // --- device substrates, in the canonical order --------------------------
   flinger_ = std::make_unique<gfx::SurfaceFlinger>(config_.screen, pool_.get());
-  flinger_->set_exact_change_detection(config_.exact_change_detection);
-  flinger_->set_tile_memo(config_.tile_memo);
   flinger_->set_obs(config_.obs);
   if (pool_) {
     // Pool counters are lifetime totals; remember the baseline so finish()
@@ -104,10 +102,8 @@ void SimulatedDevice::configure(const DeviceConfig& config) {
   recorder_->set_obs(config_.obs);
   flinger_->add_listener(recorder_.get());
 
-  if (config_.record_latency) {
-    latency_ = std::make_unique<metrics::ResponseLatencyRecorder>();
-    flinger_->add_listener(latency_.get());
-  }
+  latency_ = std::make_unique<metrics::ResponseLatencyRecorder>();
+  flinger_->add_listener(latency_.get());
 
   panel_ = std::make_unique<display::DisplayPanel>(*sim_, config_.rates,
                                                    start_hz);
@@ -229,7 +225,7 @@ void SimulatedDevice::start_control() {
   dispatcher_->add_listener(touch_power_.get());
   if (dpm_) dispatcher_->add_listener(dpm_.get());
   if (governor_) dispatcher_->add_listener(governor_.get());
-  if (latency_) dispatcher_->add_listener(latency_.get());
+  dispatcher_->add_listener(latency_.get());
   for (apps::AppModel* app : pending_input_apps_) {
     dispatcher_->add_listener(app);
   }

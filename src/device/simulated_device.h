@@ -122,7 +122,7 @@ class SimulatedDevice {
   [[nodiscard]] power::DevicePowerModel& power() { return *power_; }
   [[nodiscard]] input::InputDispatcher& dispatcher() { return *dispatcher_; }
   [[nodiscard]] metrics::FrameStatsRecorder& recorder() { return *recorder_; }
-  /// Null when the config disabled latency recording.
+  /// The touch-response latency recorder (attached on every configure()).
   [[nodiscard]] metrics::ResponseLatencyRecorder* latency() {
     return latency_.get();
   }

@@ -1,15 +1,12 @@
-// Fast 64-bit content hashing for tile memoization and frame fingerprints.
+// Fast 64-bit content hashing for frame fingerprints.
 //
 // Requirements, in order:
-//   1. Deterministic and platform independent -- the hash feeds counters
-//      and oracle fields that must match between serial and fleet runs,
-//      Linux and anywhere else.  So: plain scalar code, u64-chunked.
-//   2. Fast enough to run over every composed tile (an order of magnitude
-//      faster than the old byte-at-a-time FNV-1a content_hash).
-//   3. Well mixed.  NOT required to be collision-free: every memoization
-//      hit is re-verified byte-for-byte, so a collision costs one compare,
-//      never correctness (and the DST collision-injection test forces the
-//      degenerate constant hash to prove it).
+//   1. Deterministic and platform independent -- the hash feeds result
+//      fields and oracle diffs that must match between serial and fleet
+//      runs, Linux and anywhere else.  So: plain scalar code, u64-chunked.
+//   2. Fast enough to run over every composed frame: the DST oracles fold a
+//      full-buffer fingerprint of each one into the frame-stream hash.
+//   3. Well mixed, so two different frame streams do not fold to one value.
 //
 // The bulk loop runs four independent 64-bit lanes, one multiply per
 // 8-byte chunk.  A single chained splitmix stream is latency-bound (two
@@ -23,9 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-
-#include "gfx/geometry.h"
-#include "gfx/pixel.h"
 
 namespace ccdem::gfx {
 
@@ -99,32 +93,11 @@ inline constexpr std::uint64_t kHashSeed = 0x9E3779B97F4A7C15ull;
   return lanes.fold(h);
 }
 
-/// Folds one u64 into the running state -- for combining per-tile or
-/// per-frame hashes into a stream fingerprint.
+/// Folds one u64 into the running state -- for combining per-frame hashes
+/// into a stream fingerprint.
 [[nodiscard]] inline std::uint64_t hash_combine(std::uint64_t h,
                                                 std::uint64_t k) {
   return hash_detail::mix(h, k);
-}
-
-/// Hashes rect `r` of a row-major pixel buffer (`stride` in pixels).  Row
-/// geometry (width + height) is folded in via the per-row byte count and the
-/// chained state, so transposed rects of equal area hash differently.
-[[nodiscard]] inline std::uint64_t hash_rows(const Rgb888* base, int stride,
-                                             Rect r,
-                                             std::uint64_t h = kHashSeed) {
-  const std::size_t bytes =
-      static_cast<std::size_t>(r.width) * sizeof(Rgb888);
-  h = hash_detail::mix(h, (static_cast<std::uint64_t>(r.width) << 32) |
-                              static_cast<std::uint64_t>(r.height));
-  // One lane state across the whole rect: rows feed the same four chains,
-  // so the per-row cost is the bulk loop alone, not a seed+finalize round.
-  hash_detail::Lanes lanes(h);
-  for (int row = 0; row < r.height; ++row) {
-    const Rgb888* p =
-        base + static_cast<std::size_t>(r.y + row) * stride + r.x;
-    lanes.bulk(reinterpret_cast<const unsigned char*>(p), bytes);
-  }
-  return lanes.fold(h);
 }
 
 }  // namespace ccdem::gfx

@@ -4,9 +4,11 @@
 // them into the device framebuffer, then notifies frame listeners -- the
 // content-rate meter and the power model hang off this notification.  The
 // composition is dirty-region based, matching how a real compositor avoids
-// recopying unchanged pixels, and it optionally performs an exact
-// changed-pixel check over the dirty region so experiments have pixel-true
-// ground truth for "meaningful vs redundant frame".
+// recopying unchanged pixels: each latched dirty rect is walked in screen
+// tiles, every piece is compared with the back buffer, and only the pieces
+// that differ are copied.  The same compare gives experiments pixel-true
+// ground truth for "meaningful vs redundant frame" and an exact damage
+// region.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,6 @@
 #include "gfx/region.h"
 #include "gfx/surface.h"
 #include "gfx/swapchain.h"
-#include "gfx/tile_cache.h"
 #include "obs/obs.h"
 #include "sim/time.h"
 
@@ -29,16 +30,21 @@ namespace ccdem::gfx {
 struct FrameInfo {
   std::uint64_t seq = 0;        ///< monotonically increasing frame number
   sim::Time composed_at{};      ///< V-Sync timestamp of the composition
-  Rect dirty{};                 ///< union of latched dirty rects (screen space)
-  /// The exact composed damage (screen space, disjoint rects; dirty is its
-  /// bounding box).  Contract: every pixel that differs from the previous
-  /// frame lies inside it -- the swapchain reconciles the back buffer to the
-  /// previous frame before composing, so pixels outside the damage are
-  /// byte-identical to frame N-1.  Listeners (the content-rate meter) rely
-  /// on this to scope their work to the damage.
+  /// The exact composed damage (screen space, disjoint rects): the pieces
+  /// of the latched dirty rects whose pixels were written.  Contract: every
+  /// pixel that differs from the previous frame lies inside it -- the
+  /// swapchain reconciles the back buffer to the previous frame before
+  /// composing, so pixels outside the damage are byte-identical to frame
+  /// N-1.  Listeners (the content-rate meter) rely on this to scope their
+  /// work to the damage.
   Region damage;
-  bool content_changed = false; ///< ground truth: any pixel actually changed
-  std::int64_t composed_pixels = 0;  ///< pixels copied during composition
+  /// Ground truth: some latched dirty pixel differs from frame N-1 at its
+  /// screen position.
+  bool content_changed = false;
+  /// Logical composition work: the area of every latched dirty rect
+  /// (clipped to the screen), whether its pixels were written or found
+  /// unchanged and skipped.
+  std::int64_t composed_pixels = 0;
   /// Pixels recopied to reconcile the age-2 back buffer before composing
   /// (double-buffering overhead; not charged as composition work).
   std::int64_t reconciled_pixels = 0;
@@ -54,6 +60,11 @@ class FrameListener {
 
 class SurfaceFlinger {
  public:
+  /// Composition walks every latched dirty rect in kTileSize x kTileSize
+  /// screen tiles and writes only the pieces that differ from the back
+  /// buffer, so the tile grid sets the geometry of FrameInfo::damage.
+  static constexpr int kTileSize = 64;
+
   /// `pool` (optional) recycles pixel storage for the swapchain and every
   /// surface created through create_surface; it must outlive the flinger.
   explicit SurfaceFlinger(Size screen, BufferPool* pool = nullptr);
@@ -87,48 +98,11 @@ class SurfaceFlinger {
     return content_frames_;
   }
 
-  /// When true (default), `FrameInfo::content_changed` is computed by an
-  /// exact pixel comparison over the dirty region; when false, a non-empty
-  /// dirty region is assumed to change content (cheaper, optimistic).
-  void set_exact_change_detection(bool on) { exact_change_ = on; }
-
-  /// Enables (default) or disables tile-hash compose memoization.  With it
-  /// on, dirty rects are composed tile by tile and rects whose bytes already
-  /// match the reconciled back buffer are skipped -- no pixel write, no
-  /// damage, so downstream meter compares and next-frame reconciliation skip
-  /// them too.  Every hash hit is byte-verified, so the composed frames are
-  /// byte-identical either way (the DST memo oracle holds this).  Off keeps
-  /// the historical blit-everything path as the differential reference.
-  void set_tile_memo(bool on) { tile_memo_ = on; }
-  [[nodiscard]] bool tile_memo() const { return tile_memo_; }
-
-  /// Physical-write accounting for the memoization layer.  Logical
-  /// composition work (FrameInfo::composed_pixels, the power model's input)
-  /// is unchanged by memoization; these count what actually hit memory.
-  struct MemoStats {
-    std::uint64_t pixels_written = 0;   ///< pixels physically copied
-    std::uint64_t pixels_skipped = 0;   ///< pixels proven unchanged, not copied
-    std::uint64_t tile_hits = 0;        ///< full-tile hash hits verified equal
-    std::uint64_t tile_collisions = 0;  ///< hash matched but bytes differed
-    std::uint64_t frames_memoized = 0;  ///< frames with dirt but zero writes
-    std::uint64_t frame_repeats = 0;    ///< whole-frame fingerprint repeats
-  };
-  [[nodiscard]] const MemoStats& memo_stats() const { return memo_; }
-
   /// Attaches an observability sink (may be null to detach).  Registers the
   /// flinger's counters and emits a compose span per composed frame.
   void set_obs(obs::ObsSink* obs);
 
  private:
-  /// Returns true if the pixels of `s` inside `dirty` (surface-local) differ
-  /// from the currently displayed frame.
-  [[nodiscard]] bool region_differs(const Surface& s, Rect dirty) const;
-
-  /// Composes one dirty rect through the tile cache into `target` (the
-  /// reconciled back buffer).  Returns true if any pixels were written.
-  bool compose_rect_memo(const Surface& s, Rect screen_rect,
-                         Framebuffer& target, FrameInfo& info, Region& damage);
-
   Size screen_;
   BufferPool* pool_;
   Swapchain chain_;
@@ -136,16 +110,6 @@ class SurfaceFlinger {
   std::vector<FrameListener*> listeners_;
   std::uint64_t frame_seq_ = 0;
   std::uint64_t content_frames_ = 0;
-  bool exact_change_ = true;
-  bool tile_memo_ = true;
-
-  TileCache tiles_;
-  MemoStats memo_;
-  /// Ring of recent whole-frame fingerprints; 128 frames covers the video
-  /// loop lengths the corpus exercises (96 frames at 24 fps).
-  static constexpr std::size_t kFrameRing = 128;
-  std::vector<std::uint64_t> frame_ring_;
-  std::size_t frame_ring_next_ = 0;
 
   obs::ObsSink* obs_ = nullptr;
   std::uint64_t* ctr_frames_ = nullptr;
@@ -153,12 +117,8 @@ class SurfaceFlinger {
   std::uint64_t* ctr_redundant_ = nullptr;
   std::uint64_t* ctr_pixels_ = nullptr;
   std::uint64_t* ctr_latched_ = nullptr;
-  std::uint64_t* ctr_memo_written_ = nullptr;
-  std::uint64_t* ctr_memo_skipped_ = nullptr;
-  std::uint64_t* ctr_memo_tile_hits_ = nullptr;
-  std::uint64_t* ctr_memo_collisions_ = nullptr;
-  std::uint64_t* ctr_memo_frames_ = nullptr;
-  std::uint64_t* ctr_memo_repeats_ = nullptr;
+  std::uint64_t* ctr_written_ = nullptr;
+  std::uint64_t* ctr_skipped_ = nullptr;
 };
 
 }  // namespace ccdem::gfx

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "device/simulated_device.h"
+#include "gfx/hash.h"
 
 namespace ccdem::harness {
 
@@ -18,11 +19,9 @@ device::DeviceConfig ExperimentConfig::device_config() const {
   dc.screen = screen;
   dc.seed = seed;
   dc.power_sample = power_sample;
-  dc.exact_change_detection = exact_change_detection;
   dc.brightness = brightness;
   dc.baseline_hz = baseline_hz;
   dc.fast_rate_up = fast_rate_up;
-  dc.tile_memo = tile_memo;
   dc.fault = fault;
   dc.obs = obs;
   return dc;
@@ -91,12 +90,11 @@ ExperimentResult run_experiment_on(device::SimulatedDevice& dev,
   r.touch_events = dev.dispatcher().events_delivered();
   r.final_frame_hash = dev.flinger().framebuffer().fast_hash();
   if (config.hash_frames) r.frame_stream_hash = stream_hasher.hash();
-  if (metrics::ResponseLatencyRecorder* latency = dev.latency()) {
-    r.response_mean_ms = latency->mean_ms();
-    r.response_p95_ms = latency->percentile_ms(95.0);
-    r.response_max_ms = latency->max_ms();
-    r.response_interactions = latency->interactions();
-  }
+  const metrics::ResponseLatencyRecorder& latency = *dev.latency();
+  r.response_mean_ms = latency.mean_ms();
+  r.response_p95_ms = latency.percentile_ms(95.0);
+  r.response_max_ms = latency.max_ms();
+  r.response_interactions = latency.interactions();
   // Flush the continuous integration to the end of the run, then snapshot.
   dev.power().add_energy_mj(dev.sim().now(), 0.0);
   r.energy = dev.power().breakdown();

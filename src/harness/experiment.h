@@ -50,9 +50,6 @@ struct ExperimentConfig {
   display::RefreshRateSet rates = display::RefreshRateSet::galaxy_s3();
   gfx::Size screen = apps::kGalaxyS3Screen;
   sim::Duration power_sample = sim::milliseconds(50);
-  /// Exact pixel ground truth in the compositor (needed for quality and
-  /// meter-error metrics; cheap because it only scans dirty regions).
-  bool exact_change_detection = true;
   /// Screen brightness in [0, 1]; the paper measures at 50 %.
   double brightness = 0.5;
   /// Fixed rate of the kBaseline60 arm; 0 = the rate set's maximum.  Set
@@ -66,15 +63,15 @@ struct ExperimentConfig {
   /// Fault injection plan (robustness layer); default empty = no injector,
   /// bit-identical to a clean run.
   fault::FaultPlan fault{};
-  /// Tile-hash compose memoization in the flinger (on by default; the DST
-  /// memo oracle runs the same scenario with it off and demands
-  /// byte-identical frames and results).
+  /// No effect: the compositor has one compose path.  Kept only because the
+  /// repo benchmark (perfbench/) assigns it; delete it with the next change
+  /// to the benchmark.
   bool tile_memo = true;
   /// When true, fingerprint the full framebuffer after every composed frame
   /// and fold the hashes into ExperimentResult::frame_stream_hash.  Hashing
   /// every frame costs real time, so it is opt-in -- the DST oracles turn it
-  /// on to prove frame-stream identity across memoization, fleet scheduling
-  /// and span settings.
+  /// on to prove frame-stream identity across meter culling, fleet
+  /// scheduling and span settings.
   bool hash_frames = false;
   /// Observability sink (optional, not owned; must outlive the run).
   obs::ObsSink* obs = nullptr;
@@ -129,8 +126,8 @@ struct ExperimentResult {
   std::uint64_t final_frame_hash = 0;
   /// Fold of every composed frame's full-buffer fingerprint; 0 unless
   /// `hash_frames` was set.  Because each frame is hashed in full (not just
-  /// its damage), the value is invariant to memoization -- exactly what the
-  /// differential oracles compare.
+  /// its damage), the value does not depend on how the damage was computed
+  /// -- exactly what the differential oracles compare.
   std::uint64_t frame_stream_hash = 0;
 };
 

@@ -26,11 +26,11 @@ TEST(BurstVideoScene, GapFramesChangeNothing) {
   // Render through the first burst so the scene is mid-timeline.
   for (int i = 1; i <= 10; ++i) scene.render(canvas, sim::at_seconds(i / 20.0));
   // The gap [0.5 s, 1.0 s): every render reports no change.
-  const auto gap_hash = fb.content_hash();
+  const auto gap_hash = fb.fast_hash();
   for (int i = 0; i < 8; ++i) {
     EXPECT_FALSE(scene.render(canvas, sim::at_seconds(0.52 + i * 0.05)));
   }
-  EXPECT_EQ(fb.content_hash(), gap_hash);
+  EXPECT_EQ(fb.fast_hash(), gap_hash);
   EXPECT_DOUBLE_EQ(scene.nominal_content_fps(sim::at_seconds(0.7)), 0.0);
   // The next burst starts at 1.0 s and changes pixels again.  (Its nominal
   // rate is still 0: segment 1 has motion level 0, one backdrop change per
@@ -72,7 +72,7 @@ TEST(BurstVideoScene, DeterministicAcrossRngSeeds) {
     const sim::Time t = sim::at_seconds(i / 30.0);
     s1.render(c1, t);
     s2.render(c2, t);
-    ASSERT_EQ(fb1.content_hash(), fb2.content_hash()) << "frame " << i;
+    ASSERT_EQ(fb1.fast_hash(), fb2.fast_hash()) << "frame " << i;
   }
 }
 
@@ -88,7 +88,7 @@ TEST(BurstVideoScene, SkippedRendersCatchUpToSameFrame) {
   sparse.init(c2);
   for (int i = 1; i <= 40; ++i) dense.render(c1, sim::at_seconds(i / 20.0));
   sparse.render(c2, sim::at_seconds(40 / 20.0));
-  EXPECT_EQ(fb1.content_hash(), fb2.content_hash());
+  EXPECT_EQ(fb1.fast_hash(), fb2.fast_hash());
 }
 
 TEST(BurstVideoCheck, DemoProfilePassesAllOracles) {

@@ -71,20 +71,20 @@ TEST_F(CanvasTest, GradientEndpointsMatch) {
 TEST_F(CanvasTest, TextBlockVariesWithSeed) {
   canvas_.draw_text_block(Rect{0, 0, 32, 32}, colors::kWhite,
                           colors::kBlack, 1u);
-  const auto hash1 = fb_.content_hash();
+  const auto hash1 = fb_.fast_hash();
   canvas_.draw_text_block(Rect{0, 0, 32, 32}, colors::kWhite,
                           colors::kBlack, 2u);
-  EXPECT_NE(hash1, fb_.content_hash());
+  EXPECT_NE(hash1, fb_.fast_hash());
 }
 
 TEST_F(CanvasTest, TextBlockDeterministicForSeed) {
   canvas_.draw_text_block(Rect{0, 0, 32, 32}, colors::kWhite,
                           colors::kBlack, 7u);
-  const auto hash1 = fb_.content_hash();
+  const auto hash1 = fb_.fast_hash();
   canvas_.fill(colors::kRed);
   canvas_.draw_text_block(Rect{0, 0, 32, 32}, colors::kWhite,
                           colors::kBlack, 7u);
-  EXPECT_EQ(hash1, fb_.content_hash());
+  EXPECT_EQ(hash1, fb_.fast_hash());
 }
 
 TEST_F(CanvasTest, Lines) {

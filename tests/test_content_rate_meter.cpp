@@ -26,8 +26,7 @@ class MeterFeeder {
       // (5, 5) is the centre of the first cell of a 10x10 grid.
       toggle_ = !toggle_;
       fb_.set(5, 5, toggle_ ? gfx::colors::kRed : gfx::colors::kGreen);
-      info.dirty = gfx::Rect{5, 5, 1, 1};
-      info.damage = gfx::Region(info.dirty);
+      info.damage = gfx::Region(gfx::Rect{5, 5, 1, 1});
     }
     info.content_changed = ground_truth_matches ? change : !change;
     meter.on_frame(info, fb_);
@@ -127,8 +126,7 @@ TEST(ContentRateMeter, ChangeOffGridIsMissed) {
   // cannot see it.
   fb.set(0, 0, gfx::colors::kWhite);
   info.composed_at = sim::Time{10'000};
-  info.dirty = gfx::Rect{0, 0, 1, 1};
-  info.damage = gfx::Region(info.dirty);
+  info.damage = gfx::Region(gfx::Rect{0, 0, 1, 1});
   meter.on_frame(info, fb);
   EXPECT_EQ(meter.meaningful_frames(), 1u);       // missed
   EXPECT_EQ(meter.misclassified_frames(), 1u);    // and counted as an error

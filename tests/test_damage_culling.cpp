@@ -95,7 +95,6 @@ void run_equivalence(GridSpec grid, MeterMode mode, std::uint64_t seed) {
     info.seq = static_cast<std::uint64_t>(i) + 1;
     info.composed_at = sim::Time{i * 16'667};
     info.damage = mutate_scene(fb, rng);
-    info.dirty = info.damage.bounds();
     info.content_changed = !fb.equals(prev);  // exact ground truth
     prev = fb;
 
@@ -149,14 +148,12 @@ TEST(DamageCulling, EmptyDamageTouchesNoPixels) {
   info.seq = 1;
   info.composed_at = sim::Time{0};
   info.content_changed = true;
-  info.dirty = gfx::Rect::of(kScreen);
-  info.damage = gfx::Region(info.dirty);
+  info.damage = gfx::Region(gfx::Rect::of(kScreen));
   m.meter.on_frame(info, fb);  // priming
   for (int i = 0; i < 10; ++i) {
     info.seq = static_cast<std::uint64_t>(i) + 2;
     info.composed_at = sim::Time{(i + 1) * 16'667};
     info.content_changed = false;
-    info.dirty = {};
     info.damage = {};
     m.meter.on_frame(info, fb);
   }

@@ -170,11 +170,11 @@ TEST(Framebuffer, RegionEqualsIgnoresOutside) {
   EXPECT_FALSE(a.region_equals(b, Rect{4, 4, 4, 4}));
 }
 
-TEST(Framebuffer, ContentHashChangesWithContent) {
+TEST(Framebuffer, FastHashChangesWithContent) {
   Framebuffer a(16, 16), b(16, 16);
-  EXPECT_EQ(a.content_hash(), b.content_hash());
+  EXPECT_EQ(a.fast_hash(), b.fast_hash());
   b.set(5, 5, Rgb888{1, 0, 0});
-  EXPECT_NE(a.content_hash(), b.content_hash());
+  EXPECT_NE(a.fast_hash(), b.fast_hash());
 }
 
 TEST(Framebuffer, RowSpanHasWidth) {

@@ -16,7 +16,6 @@ gfx::FrameInfo frame_at(sim::Tick t, gfx::Region damage = {}) {
   gfx::FrameInfo info;
   info.composed_at = sim::Time{t};
   info.content_changed = true;  // ground truth not under test here
-  info.dirty = damage.bounds();
   info.damage = std::move(damage);
   return info;
 }

@@ -24,10 +24,10 @@ struct SceneRig {
 
   /// Renders at `t`; returns (scene-reported change, pixels actually moved).
   std::pair<bool, bool> render_at(double t_s) {
-    const auto before = fb.content_hash();
+    const auto before = fb.fast_hash();
     const bool reported = scene->render(canvas, sim::at_seconds(t_s));
     canvas.take_dirty();
-    return {reported, before != fb.content_hash()};
+    return {reported, before != fb.fast_hash()};
   }
 
   gfx::Framebuffer fb;
