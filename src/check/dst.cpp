@@ -93,10 +93,10 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
   }
   const harness::ExperimentConfig cfg = s.experiment_config();
 
-  const RunArtifacts culled = run_scenario_once(cfg, {true, true});
+  const RunArtifacts culled = run_scenario_once(cfg);
 
   if (options.oracle_determinism) {
-    const RunArtifacts again = run_scenario_once(cfg, {true, true});
+    const RunArtifacts again = run_scenario_once(cfg);
     if (culled.trace_csv != again.trace_csv) {
       report.failures.push_back(
           "determinism: serialized obs trace differs between two runs of the "
@@ -110,7 +110,7 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
   // The unculled reference run also feeds the I5 invariant below.
   std::optional<RunArtifacts> unculled;
   if (options.oracle_unculled) {
-    unculled = run_scenario_once(cfg, {false, true});
+    unculled = run_scenario_once(cfg, {.damage_culling = false});
     // Meter bit-flip faults legitimately split the two paths: a flip at a
     // sample outside the damage region is invisible to the damage-scoped
     // scan (those points are neither read nor refreshed) but triggers the
@@ -133,7 +133,7 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
   }
 
   if (options.oracle_spans_off) {
-    const RunArtifacts quiet = run_scenario_once(cfg, {true, false});
+    const RunArtifacts quiet = run_scenario_once(cfg, {.spans = false});
     if (auto d = diff_results(culled.result, quiet.result, "spans-off")) {
       report.failures.push_back(*d);
     }
@@ -178,7 +178,7 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
     harness::ExperimentConfig base_cfg = cfg;
     base_cfg.mode = device::ControlMode::kBaseline60;
     const RunArtifacts baseline =
-        run_scenario_once(base_cfg, {true, /*spans=*/false});
+        run_scenario_once(base_cfg, {.spans = false, .hash_frames = false});
     const metrics::QualityReport q = metrics::compare_quality(
         baseline.result.content_rate, culled.result.content_rate);
     // A near-static run has too little content for the ratio to mean much.
@@ -206,8 +206,8 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
     clean.pressure_scale = 0.0;
     clean.pressure_until_ms = 0;
     clean.pressure_classes = PressureClasses{};
-    const RunArtifacts unpressured =
-        run_scenario_once(clean.experiment_config(), {true, /*spans=*/false});
+    const RunArtifacts unpressured = run_scenario_once(
+        clean.experiment_config(), {.spans = false, .hash_frames = false});
     const sim::Time tail_start = *deadline;
     const metrics::QualityReport q = metrics::compare_quality(
         trace_tail(unpressured.result.content_rate, tail_start),

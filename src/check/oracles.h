@@ -37,11 +37,16 @@ struct RunArtifacts {
   std::string trace_csv;
 };
 
+/// How run_scenario_once runs the config.  The defaults are the primary
+/// oracle arm; pass the fields that differ by name, e.g.
+/// `{.spans = false, .hash_frames = false}`.
 struct RunOptions {
   bool damage_culling = true;
   bool spans = true;
-  /// Oracle runs fingerprint every composed frame by default so the diffs
-  /// below prove frame-stream identity, not just end-state agreement.
+  /// Fold every composed frame into ExperimentResult::frame_stream_hash, so
+  /// the diffs below prove frame-stream identity, not just end-state
+  /// agreement.  Arms that read only other results (the I4 quality and I8
+  /// steady-state arms compare content-rate traces) turn it off.
   bool hash_frames = true;
 };
 

@@ -34,14 +34,21 @@ class SimulatedDevice::ComposerHook final : public display::VsyncObserver {
   std::uint64_t* ctr_vsyncs_ = nullptr;
 };
 
-/// Charges the input pipeline's CPU cost per touch event.
+/// Charges the input pipeline's CPU cost per touch event, when the event
+/// is handled.  That is not always `e.t`: the fault plane redelivers a late
+/// touch with its original timestamp, and the power model integrates
+/// forward only.
 class SimulatedDevice::TouchPowerHook final : public input::TouchListener {
  public:
-  explicit TouchPowerHook(power::DevicePowerModel& power) : power_(power) {}
-  void on_touch(const input::TouchEvent& e) override { power_.on_touch(e.t); }
+  TouchPowerHook(power::DevicePowerModel& power, const sim::Simulator& sim)
+      : power_(power), sim_(sim) {}
+  void on_touch(const input::TouchEvent&) override {
+    power_.on_touch(sim_.now());
+  }
 
  private:
   power::DevicePowerModel& power_;
+  const sim::Simulator& sim_;
 };
 
 SimulatedDevice::SimulatedDevice(bool use_buffer_pool) {
@@ -124,7 +131,7 @@ void SimulatedDevice::configure(const DeviceConfig& config) {
   panel_->add_observer(display::VsyncPhase::kComposer, composer_.get());
 
   dispatcher_ = std::make_unique<input::InputDispatcher>(*sim_);
-  touch_power_ = std::make_unique<TouchPowerHook>(*power_);
+  touch_power_ = std::make_unique<TouchPowerHook>(*power_, *sim_);
 
   if (!config_.fault.empty()) {
     // The injector forks its own RNG stream, so adding faults to a run

@@ -1,5 +1,6 @@
 #include "gfx/framebuffer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <utility>
@@ -7,6 +8,7 @@
 #include "gfx/buffer_pool.h"
 #include "gfx/compare.h"
 #include "gfx/hash.h"
+#include "gfx/region.h"
 
 namespace ccdem::gfx {
 
@@ -19,6 +21,27 @@ void fill_pixels(std::vector<Rgb888>& v, std::size_t n, Rgb888 fill) {
   v.clear();
   v.resize(n);
   if (!(fill == Rgb888{})) fill_span(v.data(), n, fill);
+}
+
+std::uint64_t row_hash(const Framebuffer& fb, int y) {
+  const std::span<const Rgb888> row = fb.row(y);
+  return hash_bytes(row.data(), row.size_bytes());
+}
+
+/// hash_bytes over the array [row(0), ..., row(n - 1)] without building the
+/// array: hashes are fed four at a time, one 32-byte bulk step each, which
+/// is exactly the chunking hash_bytes applies to the whole array.
+template <typename RowFn>
+std::uint64_t fold_rows(int n, RowFn row) {
+  hash_detail::Lanes lanes(kHashSeed);
+  std::uint64_t block[4];
+  for (int y = 0; y < n; y += 4) {
+    const int k = std::min(4, n - y);
+    for (int i = 0; i < k; ++i) block[i] = row(y + i);
+    lanes.bulk(reinterpret_cast<const unsigned char*>(block),
+               static_cast<std::size_t>(k) * sizeof(block[0]));
+  }
+  return lanes.fold(kHashSeed);
 }
 
 }  // namespace
@@ -156,7 +179,32 @@ bool Framebuffer::region_equals(const Framebuffer& other, Rect r) const {
 }
 
 std::uint64_t Framebuffer::fast_hash() const {
-  return hash_bytes(pixels_.data(), pixels_.size() * sizeof(Rgb888));
+  return fold_rows(height_, [this](int y) { return row_hash(*this, y); });
+}
+
+void RowHashes::reset(const Framebuffer& fb) {
+  rows_.resize(static_cast<std::size_t>(fb.height()));
+  stale_.assign(rows_.size(), 0);
+  for (int y = 0; y < fb.height(); ++y) rows_[y] = row_hash(fb, y);
+  hash_ = fold_rows(fb.height(), [this](int y) { return rows_[y]; });
+}
+
+void RowHashes::update(const Framebuffer& fb, const Region& damage) {
+  assert(static_cast<std::size_t>(fb.height()) == rows_.size());
+  if (damage.empty()) return;
+  // Damage rects are disjoint but may share rows; mark first so each row is
+  // hashed once.
+  const Rect span = damage.bounds().intersect(fb.bounds());
+  for (const Rect& r : damage.rects()) {
+    const Rect c = r.intersect(fb.bounds());
+    for (int y = c.y; y < c.bottom(); ++y) stale_[y] = 1;
+  }
+  for (int y = span.y; y < span.bottom(); ++y) {
+    if (stale_[y] == 0) continue;
+    stale_[y] = 0;
+    rows_[y] = row_hash(fb, y);
+  }
+  hash_ = fold_rows(fb.height(), [this](int y) { return rows_[y]; });
 }
 
 }  // namespace ccdem::gfx

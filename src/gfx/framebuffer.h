@@ -16,6 +16,7 @@
 namespace ccdem::gfx {
 
 class BufferPool;
+class Region;
 
 class Framebuffer {
  public:
@@ -94,8 +95,12 @@ class Framebuffer {
   /// True iff pixels inside `r` (clipped) all match.  Sizes must match.
   [[nodiscard]] bool region_equals(const Framebuffer& other, Rect r) const;
 
-  /// Fast 64-bit fingerprint of the whole buffer (gfx/hash.h mixer); used
-  /// for the per-frame stream hashes the DST oracles compare.
+  /// 64-bit fingerprint of the whole buffer, defined as a row tree: each
+  /// row's pixel bytes are hashed on their own (gfx/hash.h), and the result
+  /// is hash_bytes over that array of row hashes, top row first.  Rows are
+  /// the unit so RowHashes can keep the value current by re-hashing only
+  /// the rows a frame changed.  Used for the final-frame fingerprint and
+  /// the per-frame stream hashes the DST oracles compare.
   [[nodiscard]] std::uint64_t fast_hash() const;
 
  private:
@@ -103,6 +108,30 @@ class Framebuffer {
   int height_ = 0;
   std::vector<Rgb888> pixels_;
   BufferPool* pool_ = nullptr;  ///< storage owner on destruction, if any
+};
+
+/// Framebuffer::fast_hash() kept current across a stream of frames.
+///
+/// reset() hashes every row of a buffer; update() re-hashes only the rows a
+/// damage region touches.  That is exact as long as every pixel that
+/// differs from the buffer last passed in lies inside the damage -- the
+/// contract FrameInfo::damage gives for consecutive composed frames.  The
+/// table is sized once by reset(); neither call allocates afterwards.
+class RowHashes {
+ public:
+  /// Hashes every row of `fb`.
+  void reset(const Framebuffer& fb);
+  /// Re-hashes the rows of `fb` that `damage` touches.  `fb` must have the
+  /// height of the buffer passed to reset().
+  void update(const Framebuffer& fb, const Region& damage);
+  /// fast_hash() of the buffer last passed to reset() or update().
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::vector<std::uint64_t> rows_;
+  /// update()'s per-row "re-hash me" marks; all zero between calls.
+  std::vector<std::uint8_t> stale_;
+  std::uint64_t hash_ = 0;
 };
 
 }  // namespace ccdem::gfx

@@ -8,6 +8,12 @@
 //      full-buffer fingerprint of each one into the frame-stream hash.
 //   3. Well mixed, so two different frame streams do not fold to one value.
 //
+// A frame's fingerprint (Framebuffer::fast_hash) is a row tree built from
+// this one function: hash_bytes of each row's pixels, then hash_bytes over
+// the array of row hashes.  A frame that changed a few rows therefore needs
+// only those rows re-hashed (gfx::RowHashes), and the incremental value is
+// the from-scratch one bit for bit.
+//
 // The bulk loop runs four independent 64-bit lanes, one multiply per
 // 8-byte chunk.  A single chained splitmix stream is latency-bound (two
 // dependent multiplies per chunk, ~2 GB/s); four chains keep the multiplier

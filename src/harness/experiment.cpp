@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
+#include <iostream>
 
 #include "device/simulated_device.h"
 #include "gfx/hash.h"
@@ -29,19 +31,52 @@ device::DeviceConfig ExperimentConfig::device_config() const {
 
 namespace {
 
-/// Folds a full-buffer fingerprint per composed frame (see
-/// ExperimentConfig::hash_frames).  Purely observational: reads the front
-/// buffer, touches nothing.
+/// Folds fast_hash() of every composed frame (see
+/// ExperimentConfig::hash_frames).  The first frame is hashed in full; after
+/// that only the rows each frame's damage touches are re-hashed, which
+/// FrameInfo's damage contract makes exact.  Purely observational: reads
+/// the front buffer, touches nothing.
 class FrameStreamHasher : public gfx::FrameListener {
  public:
-  void on_frame(const gfx::FrameInfo&, const gfx::Framebuffer& fb) override {
-    hash_ = gfx::hash_combine(hash_, fb.fast_hash());
+  void on_frame(const gfx::FrameInfo& info,
+                const gfx::Framebuffer& fb) override {
+    if (frames_++ == 0) {
+      rows_.reset(fb);
+    } else {
+      rows_.update(fb, info.damage);
+    }
+    hash_ = gfx::hash_combine(hash_, rows_.hash());
   }
   [[nodiscard]] std::uint64_t hash() const { return hash_; }
+  /// fast_hash() of the last composed frame, as kept incrementally.
+  [[nodiscard]] std::uint64_t last_frame_hash() const { return rows_.hash(); }
 
  private:
+  gfx::RowHashes rows_;
+  std::uint64_t frames_ = 0;
   std::uint64_t hash_ = gfx::kHashSeed;
 };
+
+/// The incremental hash is only as good as the damage contract, so every
+/// hashed run that composed a frame ends by comparing it with a from-scratch
+/// hash of the final frame.  A mismatch means some pixel changed outside a
+/// frame's reported damage: the frame-stream hashes every oracle compares
+/// would be wrong.  Aborts instead of asserting so the check stays live in
+/// Release builds.
+void check_last_frame_hash(const FrameStreamHasher& hasher,
+                           const ExperimentConfig& config,
+                           const ExperimentResult& r) {
+  if (r.frames_composed == 0 ||
+      hasher.last_frame_hash() == r.final_frame_hash) {
+    return;
+  }
+  std::cerr << "frame-stream hash: the incrementally hashed final frame "
+               "differs from its full hash (app '"
+            << config.app.name << "', seed " << config.seed << ", "
+            << r.frames_composed
+            << " frames); some pixel changed outside FrameInfo::damage\n";
+  std::abort();
+}
 
 }  // namespace
 
@@ -89,7 +124,10 @@ ExperimentResult run_experiment_on(device::SimulatedDevice& dev,
   r.frames_posted = app.frames_posted();
   r.touch_events = dev.dispatcher().events_delivered();
   r.final_frame_hash = dev.flinger().framebuffer().fast_hash();
-  if (config.hash_frames) r.frame_stream_hash = stream_hasher.hash();
+  if (config.hash_frames) {
+    r.frame_stream_hash = stream_hasher.hash();
+    check_last_frame_hash(stream_hasher, config, r);
+  }
   const metrics::ResponseLatencyRecorder& latency = *dev.latency();
   r.response_mean_ms = latency.mean_ms();
   r.response_p95_ms = latency.percentile_ms(95.0);

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "gfx/hash.h"
+#include "gfx/region.h"
+#include "sim/rng.h"
+
 namespace ccdem::gfx {
 namespace {
 
@@ -175,6 +183,137 @@ TEST(Framebuffer, FastHashChangesWithContent) {
   EXPECT_EQ(a.fast_hash(), b.fast_hash());
   b.set(5, 5, Rgb888{1, 0, 0});
   EXPECT_NE(a.fast_hash(), b.fast_hash());
+}
+
+// --- the row-tree hash and its incremental table ---------------------------
+
+/// Distinct, position-dependent pixels, so no two rows are alike.
+Framebuffer patterned(int w, int h) {
+  Framebuffer fb(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      fb.set(x, y, Rgb888{static_cast<std::uint8_t>(x * 7 + y),
+                          static_cast<std::uint8_t>(y * 13),
+                          static_cast<std::uint8_t>(x ^ y)});
+    }
+  }
+  return fb;
+}
+
+TEST(FastHash, IsHashBytesOverTheRowHashes) {
+  // The definition, spelled out: every row hashed on its own, then the
+  // array of row hashes hashed top row first.  Heights 1-6 cover a partial
+  // and a full four-row block.
+  for (int h = 1; h <= 6; ++h) {
+    const Framebuffer fb = patterned(5, h);
+    std::vector<std::uint64_t> rows;
+    for (int y = 0; y < h; ++y) {
+      rows.push_back(hash_bytes(fb.row(y).data(), fb.row(y).size_bytes()));
+    }
+    EXPECT_EQ(fb.fast_hash(),
+              hash_bytes(rows.data(), rows.size() * sizeof(rows[0])))
+        << "height " << h;
+  }
+}
+
+TEST(FastHash, EqualBuffersHashEqual) {
+  const Framebuffer a = patterned(33, 17);
+  Framebuffer b(33, 17, colors::kWhite);
+  b.blit(a, a.bounds(), Point{0, 0});
+  EXPECT_EQ(a.fast_hash(), b.fast_hash());
+}
+
+TEST(FastHash, LastPixelChangesTheHash) {
+  const Framebuffer a = patterned(720, 40);
+  Framebuffer b = a;
+  b.set(719, 39, Rgb888{static_cast<std::uint8_t>(a.at(719, 39).r ^ 1),
+                        a.at(719, 39).g, a.at(719, 39).b});
+  EXPECT_NE(a.fast_hash(), b.fast_hash());
+}
+
+TEST(FastHash, SwappedRowsChangeTheHash) {
+  // Rows 0/1 feed different lanes of one block, rows 0/4 the same lane of
+  // consecutive blocks, rows 5/9 straddle a block and the partial tail.
+  const Framebuffer a = patterned(16, 10);
+  for (const auto& [r0, r1] :
+       {std::pair{0, 1}, std::pair{0, 4}, std::pair{5, 9}}) {
+    Framebuffer b = a;
+    b.blit(a, Rect{0, r0, 16, 1}, Point{0, r1});
+    b.blit(a, Rect{0, r1, 16, 1}, Point{0, r0});
+    EXPECT_NE(a.fast_hash(), b.fast_hash()) << "rows " << r0 << ", " << r1;
+  }
+}
+
+TEST(FastHash, OddWidthsSeeEveryByte) {
+  // 3 * w is not a multiple of 8 here, so each row ends in a partial chunk;
+  // flipping the last channel byte of any pixel must still show.
+  for (const Size size : {Size{1, 1}, Size{7, 3}, Size{721, 5}}) {
+    const Framebuffer a = patterned(size.width, size.height);
+    const std::uint64_t base = a.fast_hash();
+    for (const Point p : {Point{0, 0}, Point{size.width - 1, 0},
+                          Point{size.width - 1, size.height - 1}}) {
+      Framebuffer b = a;
+      const Rgb888 c = a.at(p.x, p.y);
+      b.set(p.x, p.y, Rgb888{c.r, c.g, static_cast<std::uint8_t>(c.b ^ 0x80)});
+      EXPECT_NE(b.fast_hash(), base)
+          << size.width << "x" << size.height << " at " << p.x << "," << p.y;
+    }
+  }
+}
+
+TEST(RowHashes, ResetMatchesFastHash) {
+  for (const Size size : {Size{0, 0}, Size{1, 1}, Size{7, 3}, Size{64, 9}}) {
+    const Framebuffer fb = patterned(size.width, size.height);
+    RowHashes rows;
+    rows.reset(fb);
+    EXPECT_EQ(rows.hash(), fb.fast_hash())
+        << size.width << "x" << size.height;
+  }
+}
+
+TEST(RowHashes, UpdateTracksRandomDamagedEdits) {
+  // Seeded property: paint random rects, report exactly the painted rects
+  // as damage, and the incremental hash must equal the from-scratch one
+  // after every step -- including overlapping rects, rects sharing rows,
+  // rects clipped by the buffer edge and empty frames.
+  for (const Size size : {Size{7, 3}, Size{97, 61}, Size{721, 5}}) {
+    sim::Rng rng(20140601 + static_cast<std::uint64_t>(size.width));
+    Framebuffer fb = patterned(size.width, size.height);
+    RowHashes rows;
+    rows.reset(fb);
+    for (int step = 0; step < 200; ++step) {
+      Region damage;
+      const int rects = static_cast<int>(rng.uniform_int(0, 4));
+      for (int i = 0; i < rects; ++i) {
+        const Rect r{static_cast<int>(rng.uniform_int(-4, size.width)),
+                     static_cast<int>(rng.uniform_int(-4, size.height)),
+                     static_cast<int>(rng.uniform_int(1, size.width)),
+                     static_cast<int>(rng.uniform_int(1, size.height))};
+        fb.fill_rect(r, Rgb888::from_packed(
+                            static_cast<std::uint32_t>(rng.next_u64())));
+        damage.add(r.intersect(fb.bounds()));
+      }
+      rows.update(fb, damage);
+      ASSERT_EQ(rows.hash(), fb.fast_hash())
+          << size.width << "x" << size.height << " step " << step;
+    }
+  }
+}
+
+TEST(RowHashes, EditOutsideTheDamageIsMissed) {
+  // The negative case: update() trusts the damage.  A pixel changed outside
+  // it leaves the kept hash stale -- which is what the harness's end-of-run
+  // check against a full hash detects.
+  Framebuffer fb = patterned(32, 32);
+  RowHashes rows;
+  rows.reset(fb);
+  fb.fill_rect(Rect{0, 0, 8, 8}, colors::kRed);
+  fb.set(20, 20, colors::kGreen);  // not reported
+  rows.update(fb, Region(Rect{0, 0, 8, 8}));
+  EXPECT_NE(rows.hash(), fb.fast_hash());
+  // Reporting the row heals it.
+  rows.update(fb, Region(Rect{20, 20, 1, 1}));
+  EXPECT_EQ(rows.hash(), fb.fast_hash());
 }
 
 TEST(Framebuffer, RowSpanHasWidth) {

@@ -149,5 +149,22 @@ TEST(SimulatedDevice, NoPoolByDefault) {
   EXPECT_EQ(dev.buffer_pool(), nullptr);
 }
 
+// The fault plane redelivers a late touch with its original timestamp.  Its
+// energy is charged when the device handles it, so the power model only
+// ever integrates forward (it asserts that it does, in builds with asserts
+// on).
+TEST(SimulatedDevice, DelayedTouchesChargeEnergyWhenDelivered) {
+  harness::ExperimentConfig c =
+      experiment("Jelly Splash", ControlMode::kSectionWithBoost, 7);
+  c.duration = sim::seconds(20);
+  c.fault.touch_delay_p = 1.0;
+  const harness::ExperimentResult r = harness::run_experiment(c);
+  ASSERT_GT(r.touch_events, 0u);
+  EXPECT_NEAR(r.energy.touch_mj,
+              static_cast<double>(r.touch_events) * c.power.touch_event_mj,
+              1e-9 * r.energy.touch_mj);
+  EXPECT_GT(r.mean_power_mw, 0.0);
+}
+
 }  // namespace
 }  // namespace ccdem::device
