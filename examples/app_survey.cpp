@@ -3,17 +3,18 @@
 // 60 Hz, the observation that motivates the whole system.
 //
 //   ./app_survey [seconds-per-app]
-#include <cstdlib>
 #include <iostream>
 
-#include "apps/app_profiles.h"
+#include "cli.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 
 int main(int argc, char** argv) {
   using namespace ccdem;
+  constexpr const char* kUsage = "app_survey [seconds-per-app]";
 
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 20;
+  examples::check_arg_count(argc, 1, kUsage);
+  const int seconds = examples::seconds_arg(argc, argv, 1, 20, kUsage);
 
   harness::TextTable table({"App", "Category", "Frame rate (fps)",
                             "Content rate (fps)", "Redundant (fps)"});

@@ -2,18 +2,19 @@
 // hours on a Galaxy S3-class 2100 mAh pack.
 //
 //   ./battery_life [seconds-per-run]
-#include <cstdlib>
 #include <iostream>
 
-#include "apps/app_profiles.h"
+#include "cli.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "power/battery.h"
 
 int main(int argc, char** argv) {
   using namespace ccdem;
+  constexpr const char* kUsage = "battery_life [seconds-per-run]";
 
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 30;
+  examples::check_arg_count(argc, 1, kUsage);
+  const int seconds = examples::seconds_arg(argc, argv, 1, 30, kUsage);
   const power::Battery battery(power::BatterySpec::galaxy_s3());
 
   harness::TextTable t({"App", "Baseline (mW)", "Saved (mW)",

@@ -5,18 +5,19 @@
 // workload on each to show the scheme generalises beyond one device.
 //
 //   ./custom_panel [seconds]
-#include <cstdlib>
 #include <iostream>
 
-#include "apps/app_profiles.h"
+#include "cli.h"
 #include "core/section_table.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 
 int main(int argc, char** argv) {
   using namespace ccdem;
+  constexpr const char* kUsage = "custom_panel [seconds]";
 
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 20;
+  examples::check_arg_count(argc, 1, kUsage);
+  const int seconds = examples::seconds_arg(argc, argv, 1, 20, kUsage);
 
   struct Panel {
     const char* name;

@@ -5,24 +5,27 @@
 //   ./quickstart [app-name] [seconds]
 //
 // Defaults to Jelly Splash (the paper's poster-child workload) for 30 s.
-#include <cstdlib>
+// An unknown app or a seconds value that is not a positive whole number
+// exits with status 2.
 #include <iostream>
 #include <string>
 
-#include "apps/app_profiles.h"
+#include "cli.h"
 #include "device/simulated_device.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 
 int main(int argc, char** argv) {
   using namespace ccdem;
+  constexpr const char* kUsage = "quickstart [app-name] [seconds]";
 
+  examples::check_arg_count(argc, 2, kUsage);
   const std::string app_name = argc > 1 ? argv[1] : "Jelly Splash";
-  const int seconds = argc > 2 ? std::atoi(argv[2]) : 30;
+  const int seconds = examples::seconds_arg(argc, argv, 2, 30, kUsage);
 
   // 1. Pick a workload (one of the paper's 30 commercial apps).
   harness::ExperimentConfig config;
-  config.app = apps::app_by_name(app_name);
+  config.app = examples::app_arg(app_name, kUsage);
   config.duration = sim::seconds(seconds);
   config.seed = 1;
 

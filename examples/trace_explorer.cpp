@@ -4,28 +4,38 @@
 //
 //   ./trace_explorer [app-name] [mode] [seconds]
 //     mode: baseline | section | boost | naive
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "apps/app_profiles.h"
+#include "cli.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 
 int main(int argc, char** argv) {
   using namespace ccdem;
+  constexpr const char* kUsage =
+      "trace_explorer [app-name] [baseline|section|boost|naive] [seconds]";
 
+  examples::check_arg_count(argc, 3, kUsage);
   const std::string app_name = argc > 1 ? argv[1] : "Facebook";
   const std::string mode_str = argc > 2 ? argv[2] : "boost";
-  const int seconds = argc > 3 ? std::atoi(argv[3]) : 30;
+  const int seconds = examples::seconds_arg(argc, argv, 3, 30, kUsage);
 
-  harness::ControlMode mode = harness::ControlMode::kSectionWithBoost;
-  if (mode_str == "baseline") mode = harness::ControlMode::kBaseline60;
-  if (mode_str == "section") mode = harness::ControlMode::kSection;
-  if (mode_str == "naive") mode = harness::ControlMode::kNaive;
+  harness::ControlMode mode{};
+  if (mode_str == "baseline") {
+    mode = harness::ControlMode::kBaseline60;
+  } else if (mode_str == "section") {
+    mode = harness::ControlMode::kSection;
+  } else if (mode_str == "boost") {
+    mode = harness::ControlMode::kSectionWithBoost;
+  } else if (mode_str == "naive") {
+    mode = harness::ControlMode::kNaive;
+  } else {
+    examples::usage_error(kUsage, "unknown mode '" + mode_str + "'");
+  }
 
   harness::ExperimentConfig config;
-  config.app = apps::app_by_name(app_name);
+  config.app = examples::app_arg(app_name, kUsage);
   config.duration = sim::seconds(seconds);
   config.seed = 5;
   config.mode = mode;

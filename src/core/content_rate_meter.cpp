@@ -77,10 +77,10 @@ bool ContentRateMeter::classify_sampled(const gfx::Framebuffer& fb,
     return meaningful;
   }
   // Damage-scoped pass: grid points outside the damage cannot have changed
-  // (the compositor reconciled everything else from the previous frame), so
-  // only covered points are read -- and refreshed in place, which keeps the
-  // whole snapshot equal to a full capture.  An empty damage region
-  // classifies the frame redundant without touching any pixel.
+  // (the compositor wrote nothing outside it), so only covered points are
+  // read -- and refreshed in place, which keeps the whole snapshot equal to
+  // a full capture.  An empty damage region classifies the frame redundant
+  // without touching any pixel.
   bool meaningful = false;
   for (const gfx::Rect& r : damage.rects()) {
 #if defined(CCDEM_CANARY_BUG)
@@ -128,8 +128,8 @@ bool ContentRateMeter::classify_full_frame(const gfx::Framebuffer& fb,
     return meaningful;
   }
   // Damage-scoped: compare covered grid points, then reconcile the retained
-  // frame by copying only the damage -- the same trick the swapchain plays,
-  // so retained_ stays byte-identical to the current frame.
+  // frame by copying only the damage, so retained_ stays byte-identical to
+  // the current frame.
   bool meaningful = false;
   for (const gfx::Rect& r : damage.rects()) {
     const GridSampler::ScanResult res =

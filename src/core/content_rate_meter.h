@@ -8,10 +8,10 @@
 // per-second definition) turns per-frame meaningful/redundant
 // classifications into a rate.
 //
-// Host-side cost is damage-scoped: the compositor reconciles its back
-// buffer to the previous frame before composing, so the current frame can
-// only differ from the last one inside FrameInfo::damage.  Grid points
-// outside the damage are provably unchanged and are skipped (counted in
+// Host-side cost is damage-scoped: the compositor composes in place and
+// writes the screen only inside FrameInfo::damage, so the current frame can
+// only differ from the last one there.  Grid points outside the damage are
+// provably unchanged and are skipped (counted in
 // meter.pixels_compare_skipped); an empty-damage frame is classified
 // redundant without touching a single pixel.  The *modeled* comparison cost
 // (compare_cost_per_frame_ms) deliberately stays a function of the full

@@ -11,23 +11,23 @@ namespace {
 
 /// Pixels of one frame's composition, by outcome.
 struct Writes {
-  std::uint64_t written = 0;  ///< copied into the back buffer
+  std::uint64_t written = 0;  ///< copied into the screen
   std::uint64_t skipped = 0;  ///< already equal there, not copied
 };
 
 /// Composes one dirty rect of `s` (`screen_rect`: screen space, clipped to
-/// the screen, non-empty) into `target`, the reconciled back buffer, and
+/// the screen, non-empty) in place into `target`, the screen buffer, and
 /// adds the written pieces to `damage`.
 void compose_rect(const Surface& s, Rect screen_rect, Framebuffer& target,
                   Region& damage, Writes& writes) {
   // The rect is walked tile by tile, and a piece is written only when the
-  // surface bytes differ from the back buffer.  begin_frame reconciled the
-  // back to the displayed frame, so "matches the back" is "already on
-  // screen" until an earlier rect of this same frame overwrote it, in which
-  // case matching the back still yields the correct final frame.  Before
-  // the first write of a frame the back equals the front everywhere, so
-  // "some piece was written" is exactly "some latched pixel differs from
-  // frame N-1": content_changed stays exact.
+  // surface bytes differ from the screen.  The screen holds frame N-1, so
+  // "matches the screen" is "already displayed" until an earlier rect of
+  // this same frame overwrote it, in which case matching the screen still
+  // yields the correct final frame.  Before the first write of a frame the
+  // screen is exactly frame N-1, so "some piece was written" is exactly
+  // "some latched pixel differs from frame N-1": content_changed stays
+  // exact.
   constexpr int kTile = SurfaceFlinger::kTileSize;
   const Framebuffer& src = s.buffer();
   const int sx = s.screen_rect().x;
@@ -92,7 +92,7 @@ void compose_rect(const Surface& s, Rect screen_rect, Framebuffer& target,
 }  // namespace
 
 SurfaceFlinger::SurfaceFlinger(Size screen, BufferPool* pool)
-    : screen_(screen), pool_(pool), chain_(screen, pool) {
+    : screen_(screen), pool_(pool), screen_fb_(screen, pool) {
   assert(!screen.empty());
 }
 
@@ -146,11 +146,6 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
   info.seq = ++frame_seq_;
   info.composed_at = t;
 
-  // Render into the swapchain's back buffer (reconciled to the previous
-  // frame by begin_frame); the front buffer keeps displaying frame N-1.
-  Framebuffer& target = chain_.begin_frame();
-  info.reconciled_pixels = chain_.last_reconciled_pixels();
-
   Writes writes;
   Region damage;
   for (const auto& s : surfaces_) {
@@ -171,12 +166,10 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
       // whether they must physically land.
       info.composed_pixels += screen_rect.area();
       if (screen_rect.empty()) continue;
-      compose_rect(*s, screen_rect, target, damage, writes);
+      compose_rect(*s, screen_rect, screen_fb_, damage, writes);
     }
   }
   info.content_changed = writes.written > 0;
-
-  chain_.present(damage);
   info.damage = std::move(damage);
 
   if (info.content_changed) ++content_frames_;
@@ -192,7 +185,7 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
   CCDEM_OBS_SPAN(obs_, obs::Phase::kCompose, t, sim::Duration{}, info.seq,
                  info.composed_pixels);
 
-  for (FrameListener* l : listeners_) l->on_frame(info, chain_.front());
+  for (FrameListener* l : listeners_) l->on_frame(info, screen_fb_);
   return true;
 }
 

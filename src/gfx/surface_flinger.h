@@ -1,14 +1,14 @@
 // SurfaceFlinger: the Surface Manager of the simulated Android stack.
 //
 // On every V-Sync it latches pending surface frames (if any) and composes
-// them into the device framebuffer, then notifies frame listeners -- the
-// content-rate meter and the power model hang off this notification.  The
-// composition is dirty-region based, matching how a real compositor avoids
-// recopying unchanged pixels: each latched dirty rect is walked in screen
-// tiles, every piece is compared with the back buffer, and only the pieces
-// that differ are copied.  The same compare gives experiments pixel-true
-// ground truth for "meaningful vs redundant frame" and an exact damage
-// region.
+// them in place into the one screen framebuffer, then notifies frame
+// listeners -- the content-rate meter and the power model hang off this
+// notification.  The composition is dirty-region based, matching how a real
+// compositor avoids recopying unchanged pixels: each latched dirty rect is
+// walked in screen tiles, every piece is compared with the screen, and only
+// the pieces that differ are copied.  The same compare gives experiments
+// pixel-true ground truth for "meaningful vs redundant frame" and an exact
+// damage region.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include "gfx/geometry.h"
 #include "gfx/region.h"
 #include "gfx/surface.h"
-#include "gfx/swapchain.h"
 #include "obs/obs.h"
 #include "sim/time.h"
 
@@ -33,10 +32,10 @@ struct FrameInfo {
   /// The exact composed damage (screen space, disjoint rects): the pieces
   /// of the latched dirty rects whose pixels were written.  Contract: every
   /// pixel that differs from the previous frame lies inside it -- the
-  /// swapchain reconciles the back buffer to the previous frame before
-  /// composing, so pixels outside the damage are byte-identical to frame
-  /// N-1.  Listeners (the content-rate meter) rely on this to scope their
-  /// work to the damage.
+  /// flinger composes in place and these rects are its only writes to the
+  /// screen, so pixels outside the damage are byte-identical to frame N-1.
+  /// Listeners (the content-rate meter) rely on this to scope their work to
+  /// the damage.
   Region damage;
   /// Ground truth: some latched dirty pixel differs from frame N-1 at its
   /// screen position.
@@ -45,28 +44,29 @@ struct FrameInfo {
   /// (clipped to the screen), whether its pixels were written or found
   /// unchanged and skipped.
   std::int64_t composed_pixels = 0;
-  /// Pixels recopied to reconcile the age-2 back buffer before composing
-  /// (double-buffering overhead; not charged as composition work).
-  std::int64_t reconciled_pixels = 0;
   int surfaces_latched = 0;     ///< surfaces that had a pending frame
 };
 
 class FrameListener {
  public:
   virtual ~FrameListener() = default;
-  /// Called after the framebuffer has been updated for this frame.
+  /// Called after the framebuffer has been updated for this frame.  `fb` is
+  /// the flinger's screen buffer and is valid only during the call: the
+  /// next composition overwrites it in place, so a listener that needs the
+  /// previous frame later keeps its own copy.
   virtual void on_frame(const FrameInfo& info, const Framebuffer& fb) = 0;
 };
 
 class SurfaceFlinger {
  public:
   /// Composition walks every latched dirty rect in kTileSize x kTileSize
-  /// screen tiles and writes only the pieces that differ from the back
-  /// buffer, so the tile grid sets the geometry of FrameInfo::damage.
+  /// screen tiles and writes only the pieces that differ from the screen,
+  /// so the tile grid sets the geometry of FrameInfo::damage.
   static constexpr int kTileSize = 64;
 
-  /// `pool` (optional) recycles pixel storage for the swapchain and every
-  /// surface created through create_surface; it must outlive the flinger.
+  /// `pool` (optional) recycles pixel storage for the screen buffer and
+  /// every surface created through create_surface; it must outlive the
+  /// flinger.
   explicit SurfaceFlinger(Size screen, BufferPool* pool = nullptr);
 
   SurfaceFlinger(const SurfaceFlinger&) = delete;
@@ -83,15 +83,9 @@ class SurfaceFlinger {
   /// produced (i.e. at least one surface had posted).  Called at V-Sync.
   bool on_vsync(sim::Time t);
 
-  /// The frame currently on screen (the swapchain's front buffer).
-  [[nodiscard]] const Framebuffer& framebuffer() const {
-    return chain_.front();
-  }
-  /// The previously displayed frame -- the paper's "extra buffer", obtained
-  /// for free from the flip.
-  [[nodiscard]] const Framebuffer& previous_frame() const {
-    return chain_.previous();
-  }
+  /// The frame currently on screen: the one buffer the flinger composes
+  /// into and hands to every listener.
+  [[nodiscard]] const Framebuffer& framebuffer() const { return screen_fb_; }
   [[nodiscard]] Size screen_size() const { return screen_; }
   [[nodiscard]] std::uint64_t frames_composed() const { return frame_seq_; }
   [[nodiscard]] std::uint64_t content_frames() const {
@@ -105,7 +99,7 @@ class SurfaceFlinger {
  private:
   Size screen_;
   BufferPool* pool_;
-  Swapchain chain_;
+  Framebuffer screen_fb_;
   std::vector<std::unique_ptr<Surface>> surfaces_;  // kept sorted by z-order
   std::vector<FrameListener*> listeners_;
   std::uint64_t frame_seq_ = 0;

@@ -138,8 +138,8 @@ TEST(SimulatedDevice, BufferPoolRecyclesAcrossConfigures) {
 
   (void)harness::run_experiment_on(
       dev, experiment("Facebook", ControlMode::kSectionWithBoost, 2));
-  // The second assembly's swapchain, surface and meter snapshots all come
-  // out of the pool the first run released into.
+  // The second assembly's screen buffer, surface and meter snapshots all
+  // come out of the pool the first run released into.
   EXPECT_GT(dev.buffer_pool()->reuses(), after_first);
   EXPECT_GT(dev.buffer_pool()->reuses(), 0u);
 }

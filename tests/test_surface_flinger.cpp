@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "gfx/buffer_pool.h"
 #include "obs/obs.h"
 #include "sim/rng.h"
 
@@ -148,36 +150,6 @@ TEST_F(FlingerTest, FrameSeqIncrements) {
   EXPECT_EQ(flinger_.content_frames(), 3u);
 }
 
-TEST_F(FlingerTest, PreviousFrameHoldsLastDisplayedPixels) {
-  Surface* s = flinger_.create_surface("a", Rect{0, 0, 64, 64}, 0);
-  Canvas& c1 = s->begin_frame();
-  c1.fill_rect(Rect{0, 0, 8, 8}, colors::kRed);
-  s->post_frame();
-  flinger_.on_vsync(sim::Time{});
-  Canvas& c2 = s->begin_frame();
-  c2.fill_rect(Rect{0, 0, 8, 8}, colors::kBlue);
-  s->post_frame();
-  flinger_.on_vsync(sim::Time{1});
-  EXPECT_EQ(flinger_.framebuffer().at(2, 2), colors::kBlue);
-  EXPECT_EQ(flinger_.previous_frame().at(2, 2), colors::kRed);
-}
-
-TEST_F(FlingerTest, ReconciledPixelsReported) {
-  Surface* s = flinger_.create_surface("a", Rect{0, 0, 64, 64}, 0);
-  Canvas& c1 = s->begin_frame();
-  c1.fill_rect(Rect{0, 0, 8, 8}, colors::kRed);
-  s->post_frame();
-  flinger_.on_vsync(sim::Time{});
-  ASSERT_EQ(listener_.frames.size(), 1u);
-  EXPECT_EQ(listener_.frames[0].reconciled_pixels, 0);  // first frame
-  Canvas& c2 = s->begin_frame();
-  c2.fill_rect(Rect{20, 20, 4, 4}, colors::kBlue);
-  s->post_frame();
-  flinger_.on_vsync(sim::Time{1});
-  // The back buffer needed frame 1's 8x8 damage recopied.
-  EXPECT_EQ(listener_.frames[1].reconciled_pixels, 64);
-}
-
 TEST_F(FlingerTest, CountsSurfacesLatched) {
   Surface* a = flinger_.create_surface("a", Rect{0, 0, 32, 32}, 0);
   Surface* b = flinger_.create_surface("b", Rect{32, 32, 32, 32}, 1);
@@ -188,6 +160,38 @@ TEST_F(FlingerTest, CountsSurfacesLatched) {
   flinger_.on_vsync(sim::Time{});
   ASSERT_EQ(listener_.frames.size(), 1u);
   EXPECT_EQ(listener_.frames[0].surfaces_latched, 2);
+}
+
+/// Records which buffer each frame was delivered in.
+class BufferAddressListener final : public FrameListener {
+ public:
+  void on_frame(const FrameInfo&, const Framebuffer& fb) override {
+    buffers.push_back(&fb);
+  }
+  std::vector<const Framebuffer*> buffers;
+};
+
+TEST(FlingerInPlace, OneScreenBufferDeliveredToEveryListener) {
+  BufferPool pool;
+  SurfaceFlinger flinger({64, 64}, &pool);
+  EXPECT_EQ(pool.acquires(), 1u);  // the screen buffer, nothing else
+
+  BufferAddressListener first;
+  BufferAddressListener second;
+  flinger.add_listener(&first);
+  flinger.add_listener(&second);
+  Surface* s = flinger.create_surface("a", Rect{0, 0, 64, 64}, 0);
+  for (int i = 0; i < 4; ++i) {
+    s->begin_frame().fill_rect(Rect{i * 8, 0, 8, 8}, colors::kRed);
+    s->post_frame();
+    ASSERT_TRUE(flinger.on_vsync(sim::Time{i}));
+  }
+  ASSERT_EQ(first.buffers.size(), 4u);
+  ASSERT_EQ(second.buffers.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(first.buffers[i], &flinger.framebuffer()) << "frame " << i;
+    EXPECT_EQ(second.buffers[i], &flinger.framebuffer()) << "frame " << i;
+  }
 }
 
 /// Four colours, so random repaints often reproduce what is already there.
