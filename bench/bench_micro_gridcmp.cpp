@@ -1,19 +1,24 @@
 // Micro-benchmark (google-benchmark): raw cost of the grid comparison on
-// this host, for each of Fig. 6's grid configurations, and of the
-// row-span compare/copy kernels.
+// this host, for each of Fig. 6's grid configurations, of the row-span
+// compare/copy kernels, and of the per-call work a small-damage frame does
+// many times: a fill_span, a sprite's draw_circle, one game frame's Region
+// adds, and an index_range lookup.
 //
 // The absolute times on a desktop CPU are far below the Galaxy S3's (the
-// device-side curve lives in core::MeteringCostModel); what this bench
-// validates is the *shape*: cost grows monotonically with the sampled pixel
+// device-side curve lives in core::MeteringCostModel); what the grid cases
+// validate is the *shape*: cost grows monotonically with the sampled pixel
 // count, and full-resolution comparison costs orders of magnitude more than
-// the sparse grids.
+// the sparse grids.  The per-call cases give the fixed costs a trend line
+// that end-to-end throughput cannot show.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "core/grid_sampler.h"
+#include "gfx/canvas.h"
 #include "gfx/compare.h"
 #include "gfx/framebuffer.h"
+#include "gfx/region.h"
 #include "sim/rng.h"
 
 namespace {
@@ -141,6 +146,76 @@ void BM_FullFrameEquals(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullFrameEquals);
+
+// --- per-call costs of small-damage frames ---------------------------------
+
+/// One fill_span of state.range(0) pixels in a non-grey colour: 8 and 31 px
+/// are sprite-edge and text-run spans, 89 px a sprite's widest row, 720 px
+/// a full panel row.  The colour passes through DoNotOptimize on every
+/// call, so the colour pattern is built per call, as at the real call sites.
+void BM_FillSpan(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<gfx::Rgb888> row(n + 1);
+  gfx::Rgb888 c{220, 40, 40};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(c);
+    gfx::fill_span(row.data() + 1, n, c);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) * 3);
+}
+BENCHMARK(BM_FillSpan)->Arg(8)->Arg(31)->Arg(89)->Arg(720);
+
+/// One game sprite: a radius-44 circle, fully on screen.
+void BM_DrawCircle(benchmark::State& state) {
+  gfx::Framebuffer fb(kScreen);
+  gfx::Canvas canvas(fb);
+  for (auto _ : state) {
+    canvas.draw_circle(gfx::Point{360, 640}, 44, gfx::Rgb888{200, 120, 90});
+    canvas.take_dirty_region();
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DrawCircle);
+
+/// One game frame's damage: eight 89x89 erase rects at the old sprite
+/// positions and eight at the new ones, each overlapping its predecessor,
+/// added to an empty Region (the count exceeds kMaxRects, so it coalesces).
+void BM_RegionGameFrame(benchmark::State& state) {
+  std::vector<gfx::Rect> adds;
+  sim::Rng rng(11);
+  std::vector<gfx::Point> pos;
+  for (int i = 0; i < 8; ++i) {
+    pos.push_back(gfx::Point{static_cast<int>(rng.uniform_int(54, 666)),
+                             static_cast<int>(rng.uniform_int(110, 1226))});
+  }
+  for (const gfx::Point& p : pos) adds.push_back({p.x - 44, p.y - 44, 89, 89});
+  for (const gfx::Point& p : pos) {
+    adds.push_back({p.x - 44 + 7, p.y - 44 - 5, 89, 89});
+  }
+  gfx::Region region;
+  for (auto _ : state) {
+    region.clear();
+    for (const gfx::Rect& r : adds) region.add(r);
+    benchmark::DoNotOptimize(region.rects().data());
+  }
+}
+BENCHMARK(BM_RegionGameFrame);
+
+/// Mapping one sprite-sized damage rect to its block of grid indices.
+void BM_IndexRange(benchmark::State& state) {
+  const core::GridSampler sampler(kScreen,
+                                  spec_for(static_cast<int>(state.range(0))));
+  gfx::Rect r{301, 517, 89, 89};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(r);
+    benchmark::DoNotOptimize(sampler.index_range(r));
+  }
+  state.SetLabel(sampler.grid().label());
+}
+BENCHMARK(BM_IndexRange)->Arg(2)->Arg(4);
 
 }  // namespace
 

@@ -17,7 +17,7 @@ MapScene::MapScene(const SceneSpec& spec, gfx::Size size, sim::Rng rng)
   origin_y_ = static_cast<int>(rng_.uniform_int(0, 1 << 16));
 }
 
-gfx::Rgb888 MapScene::world_color(int wx, int wy) const {
+gfx::Rgb888 MapScene::world_color(int wx, int wy) {
   // Roads form a grid over pastel terrain tiles.
   const int rx = ((wx % kRoadPeriod) + kRoadPeriod) % kRoadPeriod;
   const int ry = ((wy % kRoadPeriod) + kRoadPeriod) % kRoadPeriod;
@@ -32,26 +32,38 @@ gfx::Rgb888 MapScene::world_color(int wx, int wy) const {
                      static_cast<std::uint8_t>(130 + ((h >> 16) & 0x3f))};
 }
 
-void MapScene::paint_world_band(gfx::Canvas& canvas, gfx::Rect screen_band) {
-  const gfx::Rect band = screen_band.intersect(gfx::Rect::of(size_));
-  if (band.empty()) return;
-  gfx::Framebuffer& fb = canvas.framebuffer();
-  // Paint in horizontal runs of constant colour (roads/tiles are blocky),
-  // which keeps panning cheap.
-  for (int y = band.y; y < band.bottom(); ++y) {
-    const int wy = y + origin_y_;
-    int x = band.x;
-    while (x < band.right()) {
-      const gfx::Rgb888 c = world_color(x + origin_x_, wy);
-      int run_end = x + 1;
-      while (run_end < band.right() &&
-             world_color(run_end + origin_x_, wy) == c) {
-        ++run_end;
-      }
-      for (int px = x; px < run_end; ++px) fb.set(px, y, c);
+gfx::Rect MapScene::paint_world(gfx::Framebuffer& fb, gfx::Rect band,
+                                gfx::Point origin) {
+  const gfx::Rect clipped = band.intersect(fb.bounds());
+  // world_color is constant between edges: tile edges every kTile and road
+  // edges at kRoadPeriod * k and kRoadPeriod * k + kRoadWidth along x (the
+  // road period is a multiple of the tile, so its start is a tile edge).
+  // Each row is therefore filled in runs that end at the next edge, with
+  // the colour taken once per run.
+  static_assert(kRoadPeriod % kTile == 0);
+  const auto mod = [](int v, int m) { return ((v % m) + m) % m; };
+  for (int y = clipped.y; y < clipped.bottom(); ++y) {
+    const int wy = origin.y + y;
+    gfx::Rgb888* row = fb.row(y).data();
+    int x = clipped.x;
+    while (x < clipped.right()) {
+      const int wx = origin.x + x;
+      const int to_tile_edge = kTile - mod(wx, kTile);
+      const int to_road_edge = mod(kRoadWidth - 1 - wx, kRoadPeriod) + 1;
+      const int run_end =
+          std::min(clipped.right(), x + std::min(to_tile_edge, to_road_edge));
+      gfx::fill_span(row + x, static_cast<std::size_t>(run_end - x),
+                     world_color(wx, wy));
       x = run_end;
     }
   }
+  return clipped;
+}
+
+void MapScene::paint_world_band(gfx::Canvas& canvas, gfx::Rect screen_band) {
+  const gfx::Rect band = paint_world(
+      canvas.framebuffer(), screen_band.intersect(gfx::Rect::of(size_)),
+      gfx::Point{origin_x_, origin_y_});
   // fb writes bypass the canvas, so mark the band explicitly.
   canvas.mark_dirty(band);
 }

@@ -27,9 +27,16 @@ class MapScene final : public Scene {
     return {origin_x_, origin_y_};
   }
 
- private:
   /// Colour of the virtual map at world coordinates (wx, wy).
-  [[nodiscard]] gfx::Rgb888 world_color(int wx, int wy) const;
+  [[nodiscard]] static gfx::Rgb888 world_color(int wx, int wy);
+  /// Paints `band` (screen coordinates, clipped to `fb`) with the map as
+  /// seen from world `origin`, the world coordinate of the screen's top-left:
+  /// pixel (x, y) becomes world_color(origin.x + x, origin.y + y).  Returns
+  /// the clipped band.
+  static gfx::Rect paint_world(gfx::Framebuffer& fb, gfx::Rect band,
+                               gfx::Point origin);
+
+ private:
   void paint_world_band(gfx::Canvas& canvas, gfx::Rect screen_band);
   void paint_marker(gfx::Canvas& canvas, std::int64_t pulse);
   void pan(gfx::Canvas& canvas, int dx, int dy);

@@ -114,16 +114,23 @@ bool ContentRateMeter::classify_full_frame(const gfx::Framebuffer& fb,
     return true;
   }
   if (!damage_culling_) {
-    // Reference path: compare every grid point (early exit), then retain a
-    // full copy of the current frame.
-    bool meaningful = false;
-    for (const gfx::Point& p : sampler_.points()) {
-      ++last_compared_;
-      if (fb.at(p.x, p.y) != retained_.at(p.x, p.y)) {
-        meaningful = true;
-        break;
+    // Reference path: compare every grid point in row-major order (early
+    // exit), then retain a full copy of the current frame.
+    const auto first_difference = [&]() {
+      for (const int y : sampler_.row_centers()) {
+        const auto cur = fb.row(y);
+        const auto old = retained_.row(y);
+        for (const int x : sampler_.column_centers()) {
+          ++last_compared_;
+          if (cur[static_cast<std::size_t>(x)] !=
+              old[static_cast<std::size_t>(x)]) {
+            return true;
+          }
+        }
       }
-    }
+      return false;
+    };
+    const bool meaningful = first_difference();
     retained_.blit(fb, fb.bounds(), gfx::Point{0, 0});
     return meaningful;
   }

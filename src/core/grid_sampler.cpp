@@ -1,9 +1,6 @@
 #include "core/grid_sampler.h"
 
-#include <algorithm>
 #include <cassert>
-
-#include "gfx/compare.h"
 
 namespace ccdem::core {
 
@@ -21,17 +18,34 @@ std::vector<GridSpec> GridSpec::figure6_sweep() {
   return {grid_2k(), grid_4k(), grid_9k(), grid_36k(), full_720p()};
 }
 
+namespace {
+
+/// For each x in [0, extent]: how many of the ascending `centers` lie
+/// below x.
+std::vector<int> count_below(const std::vector<int>& centers, int extent) {
+  std::vector<int> table(static_cast<std::size_t>(extent) + 1);
+  int n = 0;
+  for (int x = 0; x <= extent; ++x) {
+    while (n < static_cast<int>(centers.size()) &&
+           centers[static_cast<std::size_t>(n)] < x) {
+      ++n;
+    }
+    table[static_cast<std::size_t>(x)] = n;
+  }
+  return table;
+}
+
+}  // namespace
+
 GridSampler::GridSampler(gfx::Size screen, GridSpec grid)
     : screen_(screen), grid_(grid) {
   assert(!screen.empty());
   assert(grid.cols > 0 && grid.rows > 0);
   assert(grid.cols <= screen.width && grid.rows <= screen.height);
-  points_.reserve(static_cast<std::size_t>(grid.cols) * grid.rows);
-  flat_index_.reserve(points_.capacity());
   // Centre pixel of each grid cell.  Cell (i, j) spans
   // [i*W/cols, (i+1)*W/cols) x [j*H/rows, (j+1)*H/rows); we take the middle.
   // The per-axis centres are strictly increasing in the cell index, which is
-  // what lets index_range() binary-search them.
+  // what makes a screen rect map to one contiguous block of grid indices.
   center_xs_.reserve(static_cast<std::size_t>(grid.cols));
   center_ys_.reserve(static_cast<std::size_t>(grid.rows));
   for (int i = 0; i < grid.cols; ++i) {
@@ -48,46 +62,37 @@ GridSampler::GridSampler(gfx::Size screen, GridSpec grid)
         static_cast<std::int64_t>(j + 1) * screen.height / grid.rows);
     center_ys_.push_back((y0 + y1) / 2);
   }
-  for (const int y : center_ys_) {
-    for (const int x : center_xs_) {
-      points_.push_back({x, y});
-      flat_index_.push_back(static_cast<std::size_t>(y) * screen.width + x);
-    }
-  }
+  col_at_x_ = count_below(center_xs_, screen.width);
+  row_at_y_ = count_below(center_ys_, screen.height);
 }
 
 void GridSampler::sample(const gfx::Framebuffer& fb,
                          std::vector<gfx::Rgb888>& out) const {
   assert(fb.size() == screen_);
-  out.resize(flat_index_.size());
-  gfx::kernels::gather(fb.pixels(), flat_index_, out.data());
+  out.resize(sample_count());
+  const auto px = fb.pixels();
+  std::size_t k = 0;
+  for (const int y : center_ys_) {
+    const std::size_t row = static_cast<std::size_t>(y) * screen_.width;
+    for (const int x : center_xs_) out[k++] = px[row + x];
+  }
 }
 
 GridSampler::IndexRange GridSampler::index_range(gfx::Rect r) const {
   const gfx::Rect c = r.intersect(gfx::Rect::of(screen_));
   if (c.empty()) return {};
-  IndexRange range;
   // Half-open on both axes, matching the rect: centres in [x, right).
-  range.col_begin = static_cast<int>(
-      std::lower_bound(center_xs_.begin(), center_xs_.end(), c.x) -
-      center_xs_.begin());
-  range.col_end = static_cast<int>(
-      std::lower_bound(center_xs_.begin(), center_xs_.end(), c.right()) -
-      center_xs_.begin());
-  range.row_begin = static_cast<int>(
-      std::lower_bound(center_ys_.begin(), center_ys_.end(), c.y) -
-      center_ys_.begin());
-  range.row_end = static_cast<int>(
-      std::lower_bound(center_ys_.begin(), center_ys_.end(), c.bottom()) -
-      center_ys_.begin());
-  return range;
+  return IndexRange{col_at_x_[static_cast<std::size_t>(c.x)],
+                    col_at_x_[static_cast<std::size_t>(c.right())],
+                    row_at_y_[static_cast<std::size_t>(c.y)],
+                    row_at_y_[static_cast<std::size_t>(c.bottom())]};
 }
 
 GridSampler::ScanResult GridSampler::update_in_rect(
     const gfx::Framebuffer& fb, gfx::Rect r,
     std::vector<gfx::Rgb888>& retained) const {
   assert(fb.size() == screen_);
-  assert(retained.size() == flat_index_.size());
+  assert(retained.size() == sample_count());
   const IndexRange range = index_range(r);
   ScanResult result;
   if (range.empty()) return result;
@@ -95,11 +100,14 @@ GridSampler::ScanResult GridSampler::update_in_rect(
   // No early exit: every covered point must refresh the retained snapshot,
   // so the differ check rides along for free.
   for (int j = range.row_begin; j < range.row_end; ++j) {
-    const std::size_t row_base =
-        static_cast<std::size_t>(j) * grid_.cols;
+    const std::size_t fb_row =
+        static_cast<std::size_t>(center_ys_[static_cast<std::size_t>(j)]) *
+        screen_.width;
+    const std::size_t grid_row = static_cast<std::size_t>(j) * grid_.cols;
     for (int i = range.col_begin; i < range.col_end; ++i) {
-      const std::size_t k = row_base + i;
-      const gfx::Rgb888 fresh = px[flat_index_[k]];
+      const std::size_t k = grid_row + i;
+      const gfx::Rgb888 fresh =
+          px[fb_row + center_xs_[static_cast<std::size_t>(i)]];
       result.differed |= fresh != retained[k];
       retained[k] = fresh;
     }
@@ -119,10 +127,11 @@ GridSampler::ScanResult GridSampler::compare_in_rect(
   const auto cur_px = fb.pixels();
   const auto prev_px = prev.pixels();
   for (int j = range.row_begin; j < range.row_end; ++j) {
-    const std::size_t row_base =
-        static_cast<std::size_t>(j) * grid_.cols;
+    const std::size_t fb_row =
+        static_cast<std::size_t>(center_ys_[static_cast<std::size_t>(j)]) *
+        screen_.width;
     for (int i = range.col_begin; i < range.col_end; ++i) {
-      const std::size_t k = flat_index_[row_base + i];
+      const std::size_t k = fb_row + center_xs_[static_cast<std::size_t>(i)];
       result.differed |= cur_px[k] != prev_px[k];
     }
   }
@@ -133,10 +142,14 @@ GridSampler::ScanResult GridSampler::compare_in_rect(
 bool GridSampler::differs(const gfx::Framebuffer& fb,
                           const std::vector<gfx::Rgb888>& prev) const {
   assert(fb.size() == screen_);
-  assert(prev.size() == flat_index_.size());
+  assert(prev.size() == sample_count());
   const auto px = fb.pixels();
-  for (std::size_t k = 0; k < flat_index_.size(); ++k) {
-    if (px[flat_index_[k]] != prev[k]) return true;
+  std::size_t k = 0;
+  for (const int y : center_ys_) {
+    const std::size_t row = static_cast<std::size_t>(y) * screen_.width;
+    for (const int x : center_xs_) {
+      if (px[row + x] != prev[k++]) return true;
+    }
   }
   return false;
 }

@@ -3,8 +3,10 @@
 // Comparing full 720x1280 framebuffers every frame is too slow for the 60 Hz
 // budget (Fig. 6: > 40 ms on the device), so the meter samples a sparse grid
 // where "the RGB data of the grid are regarded as the center pixel of each
-// grid".  A GridSampler precomputes the centre-pixel offsets for a given
-// screen/grid geometry and extracts those samples from a framebuffer.
+// grid".  A GridSampler precomputes the centre pixel of every grid column
+// and row for a given screen/grid geometry and extracts those samples from
+// a framebuffer.  It keeps per-axis tables only -- O(W + H) memory and
+// construction, whatever the grid's point count.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +46,22 @@ class GridSampler {
 
   [[nodiscard]] gfx::Size screen() const { return screen_; }
   [[nodiscard]] GridSpec grid() const { return grid_; }
-  [[nodiscard]] std::size_t sample_count() const { return points_.size(); }
-  [[nodiscard]] const std::vector<gfx::Point>& points() const {
-    return points_;
+  [[nodiscard]] std::size_t sample_count() const {
+    return center_xs_.size() * center_ys_.size();
+  }
+  /// Centre pixel of grid point `k` (= row * cols + col).
+  [[nodiscard]] gfx::Point point(std::size_t k) const {
+    const std::size_t cols = center_xs_.size();
+    return {center_xs_[k % cols], center_ys_[k / cols]};
+  }
+  /// Centre x of each grid column and centre y of each grid row, both
+  /// strictly increasing: grid point (i, j) is (column_centers()[i],
+  /// row_centers()[j]).
+  [[nodiscard]] const std::vector<int>& column_centers() const {
+    return center_xs_;
+  }
+  [[nodiscard]] const std::vector<int>& row_centers() const {
+    return center_ys_;
   }
 
   /// Extracts the grid samples from `fb` into `out` (resized as needed).
@@ -105,10 +120,13 @@ class GridSampler {
  private:
   gfx::Size screen_;
   GridSpec grid_;
-  std::vector<gfx::Point> points_;       // centre pixel of each grid cell
-  std::vector<std::size_t> flat_index_;  // same points as linear fb offsets
-  std::vector<int> center_xs_;           // centre x per column (ascending)
-  std::vector<int> center_ys_;           // centre y per row (ascending)
+  std::vector<int> center_xs_;  // centre x per column (ascending)
+  std::vector<int> center_ys_;  // centre y per row (ascending)
+  // col_at_x_[x], x in [0, W]: number of column centres below x, so the
+  // columns whose centre lies in [x0, x1) are [col_at_x_[x0], col_at_x_[x1]).
+  // row_at_y_ is the same for rows over [0, H].
+  std::vector<int> col_at_x_;
+  std::vector<int> row_at_y_;
 };
 
 }  // namespace ccdem::core

@@ -25,22 +25,26 @@ void Canvas::draw_circle(Point center, int radius, Rgb888 c) {
   const Rect clipped = box.intersect(fb_->bounds());
   if (clipped.empty()) return;
   const int r2 = radius * radius;
-  // Row spans: dx^2 + dy^2 <= r^2 is |dx| <= floor(sqrt(r^2 - dy^2)), so
-  // each scanline is one contiguous fill instead of a per-pixel test.  The
-  // float sqrt is corrected to the exact integer bound, so the covered
-  // pixels are identical to the per-pixel formulation.
-  for (int y = clipped.y; y < clipped.bottom(); ++y) {
-    const int dy = y - center.y;
-    const int span2 = r2 - dy * dy;
-    if (span2 < 0) continue;
-    int s = static_cast<int>(std::sqrt(static_cast<double>(span2)));
-    while ((s + 1) * (s + 1) <= span2) ++s;
-    while (s * s > span2) --s;
+  // Row spans: dx^2 + dy^2 <= r^2 is |dx| <= s(dy) = floor(sqrt(r^2 - dy^2)),
+  // so each scanline is one contiguous fill instead of a per-pixel test.
+  // s only shrinks as |dy| grows, so walking outward from the centre row
+  // keeps it exact with integer decrements alone: s(0) = radius, and s
+  // falls by radius in total over the walk.  Rows above and below the
+  // centre share s; spans on different rows are disjoint, so the paint
+  // order does not change the covered pixels.
+  const auto paint_row = [&](int y, int s) {
+    if (y < clipped.y || y >= clipped.bottom()) return;
     const int x0 = std::max(center.x - s, clipped.x);
     const int x1 = std::min(center.x + s + 1, clipped.right());
-    if (x0 >= x1) continue;
-    auto row = fb_->row(y);
-    fill_span(row.data() + x0, static_cast<std::size_t>(x1 - x0), c);
+    if (x0 >= x1) return;
+    fill_span(fb_->row(y).data() + x0, static_cast<std::size_t>(x1 - x0), c);
+  };
+  int s = radius;
+  for (int dy = 0; dy <= radius; ++dy) {
+    const int span2 = r2 - dy * dy;
+    while (s * s > span2) --s;
+    paint_row(center.y + dy, s);
+    if (dy != 0) paint_row(center.y - dy, s);
   }
   mark(clipped);
 }

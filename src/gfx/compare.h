@@ -1,9 +1,9 @@
 // Row-span pixel kernels shared by the compositor, the content-rate meter,
 // and tests.
 //
-// Every pixel loop on the simulator's hot path -- blit clipping, region
-// equality, changed-pixel detection, grid-sample gathering -- bottoms out in
-// one of these kernels.  They operate on raw row-major Rgb888 storage
+// Every row-span pixel loop on the simulator's hot path -- blit clipping,
+// region equality, changed-pixel detection -- bottoms out in one of these
+// kernels.  They operate on raw row-major Rgb888 storage
 // (base pointer + stride) so Framebuffer, Surface buffers, and sample
 // vectors all share the same code: Rgb888 is three packed bytes with
 // defaulted comparison, so byte equality is exactly pixel equality.
@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstring>
-#include <span>
 
 #include "gfx/geometry.h"
 #include "gfx/pixel.h"
@@ -121,12 +120,6 @@ inline void copy_rows(Rgb888* dst_base, int dst_stride, const Rgb888* src_base,
     }
   }
   return {};
-}
-
-/// Gathers the pixels at linear offsets `idx` of `px` into `out`.
-inline void gather(std::span<const Rgb888> px,
-                   std::span<const std::size_t> idx, Rgb888* out) {
-  for (std::size_t k = 0; k < idx.size(); ++k) out[k] = px[idx[k]];
 }
 
 }  // namespace ccdem::gfx::kernels

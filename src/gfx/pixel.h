@@ -36,22 +36,58 @@ struct Rgb888 {
   }
 };
 
-/// Fills `n` pixels at `p` with `c` at copy bandwidth.  A per-element loop
-/// over a 3-byte struct does not vectorise; uniform bytes collapse to one
-/// memset, anything else seeds a pixel and doubles it with memcpy.
+/// Fills `n` pixels at `p` with `c`, writing nothing outside [p, p + n).
+///
+/// Uniform bytes (grey) collapse to one memset.  Any other colour repeats
+/// with a period of 8 pixels = 24 bytes, held as three 64-bit words and
+/// written with fixed-size memcpy stores that the compiler emits inline:
+/// most spans are short (sprite rows, text runs), where a libc call per
+/// span -- or per doubling step -- costs more than the bytes.  Every store
+/// starts on a pixel boundary, so every store is in phase.
 inline void fill_span(Rgb888* p, std::size_t n, Rgb888 c) {
-  if (n == 0) return;
   if (c.r == c.g && c.g == c.b) {
-    std::memset(static_cast<void*>(p), c.r, n * sizeof(Rgb888));
+    if (n != 0) std::memset(static_cast<void*>(p), c.r, n * sizeof(Rgb888));
     return;
   }
-  p[0] = c;
-  std::size_t filled = 1;
-  while (filled < n) {
-    const std::size_t chunk = filled < n - filled ? filled : n - filled;
-    std::memcpy(p + filled, p, chunk * sizeof(Rgb888));
-    filled += chunk;
+  if (n < 8) {
+    for (std::size_t i = 0; i < n; ++i) p[i] = c;
+    return;
   }
+  // Bytes r g b r g b r g | b r g b r g b r | g b r g b r g b.
+  unsigned char period[24];
+  for (std::size_t i = 0; i < 24; i += 3) {
+    period[i] = c.r;
+    period[i + 1] = c.g;
+    period[i + 2] = c.b;
+  }
+  std::uint64_t w0, w1, w2;
+  std::memcpy(&w0, period, 8);
+  std::memcpy(&w1, period + 8, 8);
+  std::memcpy(&w2, period + 16, 8);
+  const auto put24 = [&](unsigned char* d) {
+    std::memcpy(d, &w0, 8);
+    std::memcpy(d + 8, &w1, 8);
+    std::memcpy(d + 16, &w2, 8);
+  };
+  auto* out = reinterpret_cast<unsigned char*>(p);
+  const std::size_t bytes = n * sizeof(Rgb888);
+  put24(out);
+  if (n < 16) {
+    // 8..15 pixels: a second, overlapping 8-pixel store ends the span.
+    put24(out + bytes - 24);
+    return;
+  }
+  put24(out + 24);
+  // Further 48-byte blocks copy the first one.  The fixed-size copy is
+  // emitted as 16-byte loads and stores, twice the width of the word
+  // stores, which is what full-width rows need to keep up with libc.
+  for (std::size_t i = 48; i + 48 < bytes; i += 48) {
+    std::memcpy(out + i, out, 48);
+  }
+  // The last block ends exactly at p + n: it starts n - 16 pixels in, a
+  // whole number of pixels, so it lands in phase.
+  put24(out + bytes - 48);
+  put24(out + bytes - 24);
 }
 
 namespace colors {

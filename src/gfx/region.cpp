@@ -18,12 +18,34 @@ Rect Region::bounds() const {
   return b;
 }
 
+namespace {
+
+/// Working storage of add() and coalesce_one(), reused across calls so a
+/// warm region adds and coalesces without touching the heap.  One instance
+/// per thread: regions live on FleetRunner worker threads too.
+struct Scratch {
+  std::vector<Rect> pending;         // pieces of the new rect not yet covered
+  std::vector<Rect> next;            // pending after one more existing rect
+  std::vector<std::int64_t> areas;   // rects_[i].area(), for coalesce_one
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+}  // namespace
+
 void Region::add(Rect r) {
   if (r.empty()) return;
   // Subtract the parts of `r` already covered, then insert the remainder.
-  std::vector<Rect> pending{r};
+  Scratch& s = scratch();
+  std::vector<Rect>& pending = s.pending;
+  std::vector<Rect>& next = s.next;
+  pending.clear();
+  pending.push_back(r);
   for (const Rect& existing : rects_) {
-    std::vector<Rect> next;
+    next.clear();
     for (const Rect& p : pending) {
       const Rect overlap = p.intersect(existing);
       if (overlap.empty()) {
@@ -47,7 +69,7 @@ void Region::add(Rect r) {
                             p.right() - overlap.right(), overlap.height});
       }
     }
-    pending = std::move(next);
+    pending.swap(next);
     if (pending.empty()) return;  // fully covered already
   }
   for (const Rect& p : pending) {
@@ -90,13 +112,15 @@ bool Region::intersects(Rect r) const {
 
 void Region::coalesce_one() {
   assert(rects_.size() >= 2);
+  std::vector<std::int64_t>& areas = scratch().areas;
+  areas.clear();
+  for (const Rect& r : rects_) areas.push_back(r.area());
   std::size_t best_i = 0, best_j = 1;
   std::int64_t best_waste = std::numeric_limits<std::int64_t>::max();
   for (std::size_t i = 0; i < rects_.size(); ++i) {
     for (std::size_t j = i + 1; j < rects_.size(); ++j) {
-      const Rect joined = rects_[i].join(rects_[j]);
       const std::int64_t waste =
-          joined.area() - rects_[i].area() - rects_[j].area();
+          rects_[i].join(rects_[j]).area() - areas[i] - areas[j];
       if (waste < best_waste) {
         best_waste = waste;
         best_i = i;

@@ -151,13 +151,11 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
   for (const auto& s : surfaces_) {
     if (!s->visible() || !s->has_pending_frame()) continue;
     ++info.surfaces_latched;
-    const Region local_dirty = s->pending_dirty_region();
-    s->acquire_frame();
 
     // Compose rect by rect so only pixels actually drawn are compared and
     // charged -- scattered sprite updates do not pay for the area between
-    // them.
-    for (const Rect& local_rect : local_dirty.rects()) {
+    // them.  The pending region is read in place and consumed afterwards.
+    for (const Rect& local_rect : s->pending_dirty_region().rects()) {
       const Rect screen_rect =
           local_rect.translated(s->screen_rect().x, s->screen_rect().y)
               .intersect(Rect::of(screen_));
@@ -168,6 +166,7 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
       if (screen_rect.empty()) continue;
       compose_rect(*s, screen_rect, screen_fb_, damage, writes);
     }
+    s->acquire_frame();
   }
   info.content_changed = writes.written > 0;
   info.damage = std::move(damage);

@@ -26,24 +26,21 @@ std::optional<Phase> phase_from_name(std::string_view name) {
 }
 
 SpanRecorder::SpanRecorder(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 std::vector<Span> SpanRecorder::spans() const {
+  // The oldest retained span sits at head_ (0 until the ring has wrapped).
   std::vector<Span> out;
-  const std::uint64_t kept =
-      recorded_ < ring_.size() ? recorded_ : ring_.size();
-  out.reserve(static_cast<std::size_t>(kept));
-  // Oldest retained span sits at head_ once the ring has wrapped, at 0
-  // before that.
-  std::size_t pos = recorded_ < ring_.size() ? 0 : head_;
-  for (std::uint64_t i = 0; i < kept; ++i) {
-    out.push_back(ring_[pos]);
-    pos = pos + 1 == ring_.size() ? 0 : pos + 1;
-  }
+  out.reserve(ring_.size());
+  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+             ring_.end());
+  out.insert(out.end(), ring_.begin(),
+             ring_.begin() + static_cast<std::ptrdiff_t>(head_));
   return out;
 }
 
 void SpanRecorder::clear() {
+  ring_.clear();
   head_ = 0;
   recorded_ = 0;
 }

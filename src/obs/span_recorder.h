@@ -3,9 +3,11 @@
 // A span is one phase of one frame -- compose, meter, govern, panel-present
 // -- stamped with its simulation begin time and modeled duration plus a
 // free-form integer argument (pixels composed, samples compared, target Hz).
-// Spans land in a fixed-capacity ring buffer: steady-state recording never
-// allocates, and a long run simply keeps the most recent window (dropped()
-// says how much history fell off the front).
+// Spans land in a fixed-capacity ring buffer that grows as it records, so a
+// recorder that records few spans (or none: disabled sinks) holds few.  Once
+// the ring is full, recording stops allocating, and a long run simply keeps
+// the most recent window (dropped() says how much history fell off the
+// front).
 //
 // Recording compiles out entirely when CCDEM_OBS_SPANS=0 (see obs/obs.h for
 // the call-site macro): record() becomes an empty inline and enabled() is a
@@ -71,8 +73,13 @@ class SpanRecorder {
   void record(Phase phase, sim::Time begin, sim::Duration dur,
               std::uint64_t frame, std::int64_t arg) {
     if (!enabled_) return;
-    ring_[head_] = Span{begin, dur, frame, arg, phase};
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+    const Span s{begin, dur, frame, arg, phase};
+    if (ring_.size() < capacity_) {
+      ring_.push_back(s);  // growing: the oldest span stays at head_ == 0
+    } else {
+      ring_[head_] = s;
+      head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+    }
     ++recorded_;
   }
 #else
@@ -85,15 +92,17 @@ class SpanRecorder {
   /// Spans ever recorded / spans that fell off the ring.
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
   [[nodiscard]] std::uint64_t dropped() const {
-    return recorded_ <= ring_.size() ? 0 : recorded_ - ring_.size();
+    return recorded_ - ring_.size();
   }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
+  /// Drops every retained span and resets the counts.
   void clear();
 
  private:
-  std::vector<Span> ring_;
-  std::size_t head_ = 0;       // next write position
+  std::size_t capacity_;
+  std::vector<Span> ring_;     // grows to capacity_, then wraps
+  std::size_t head_ = 0;       // oldest span; next write once full
   std::uint64_t recorded_ = 0;
   bool enabled_ = true;
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace ccdem::gfx {
 namespace {
 
@@ -59,6 +62,46 @@ TEST_F(CanvasTest, DrawCircleClipsAtEdge) {
 TEST_F(CanvasTest, DrawCircleZeroRadiusIsNoop) {
   canvas_.draw_circle({5, 5}, 0, colors::kGreen);
   EXPECT_TRUE(canvas_.dirty().empty());
+}
+
+TEST(DrawCircle, MatchesPerPixelRule) {
+  // Exactly the pixels with dx^2 + dy^2 <= r^2 take the colour, for every
+  // radius up to 60 and centres inside the buffer, across each edge and
+  // past each corner; the dirty mark is the clipped bounding box.
+  const Size size{40, 30};
+  const Rgb888 bg{9, 9, 9};
+  const Rgb888 ink{200, 30, 60};
+  for (int radius = 0; radius <= 60; ++radius) {
+    const auto axis = [radius](int extent) {
+      return std::vector<int>{-radius - 1, -radius, -radius / 2, -1, 0, 1,
+                              extent / 2,  extent - 2, extent - 1, extent,
+                              extent + radius / 2, extent + radius};
+    };
+    for (const int cx : axis(size.width)) {
+      for (const int cy : axis(size.height)) {
+        Framebuffer fb(size, bg);
+        Canvas canvas(fb);
+        canvas.draw_circle(Point{cx, cy}, radius, ink);
+        for (int y = 0; y < size.height; ++y) {
+          for (int x = 0; x < size.width; ++x) {
+            const std::int64_t dx = x - cx;
+            const std::int64_t dy = y - cy;
+            const bool inside = radius > 0 && dx * dx + dy * dy <=
+                                                  std::int64_t{radius} * radius;
+            ASSERT_EQ(fb.at(x, y), inside ? ink : bg)
+                << "radius " << radius << " centre " << cx << "," << cy
+                << " pixel " << x << "," << y;
+          }
+        }
+        const Rect box = radius > 0 ? Rect{cx - radius, cy - radius,
+                                           2 * radius + 1, 2 * radius + 1}
+                                          .intersect(fb.bounds())
+                                    : Rect{};
+        EXPECT_EQ(canvas.dirty(), box)
+            << "radius " << radius << " centre " << cx << "," << cy;
+      }
+    }
+  }
 }
 
 TEST_F(CanvasTest, GradientEndpointsMatch) {

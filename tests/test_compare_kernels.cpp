@@ -132,23 +132,6 @@ TEST(FirstDiff, FindsRowMajorFirstDifference) {
   }
 }
 
-TEST(Gather, PullsScatteredIndices) {
-  sim::Rng rng(19);
-  const Framebuffer fb = random_fb(25, 25, rng);
-  std::vector<std::size_t> idx;
-  for (int trial = 0; trial < 64; ++trial) {
-    idx.push_back(static_cast<std::size_t>(rng.uniform_int(0, 25 * 25 - 1)));
-  }
-  // The very last pixel: any load wider than one 3-byte pixel would read
-  // past the end of the buffer (the sanitizer CI job runs this test).
-  idx.push_back(25 * 25 - 1);
-  std::vector<Rgb888> out(idx.size());
-  kernels::gather(fb.pixels(), idx, out.data());
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    EXPECT_EQ(out[k], fb.pixels()[idx[k]]);
-  }
-}
-
 TEST(FramebufferBlit, StillClipsLikeTheReference) {
   // Framebuffer::blit now routes through clip_copy/copy_rows; pin the
   // clipped behaviour on awkward windows (negative dst, oversized src).

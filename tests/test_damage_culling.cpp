@@ -164,29 +164,5 @@ TEST(DamageCulling, EmptyDamageTouchesNoPixels) {
                       GridSpec::grid_9k().sample_count()));
 }
 
-TEST(GridSampler, IndexRangeMatchesBruteForceScan) {
-  // index_range() is the geometric core of culling: for random rects it
-  // must select exactly the grid points whose centre the rect contains.
-  const GridSampler sampler(kScreen, GridSpec::grid_4k());
-  sim::Rng rng(99);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const gfx::Rect r = trial == 0 ? gfx::Rect::of(kScreen)
-                                   : random_rect_on_screen(rng);
-    const GridSampler::IndexRange range = sampler.index_range(r);
-    std::int64_t expected = 0;
-    const int cols = sampler.grid().cols;
-    for (std::size_t k = 0; k < sampler.points().size(); ++k) {
-      const bool inside = r.contains(sampler.points()[k]);
-      if (inside) ++expected;
-      const int col = static_cast<int>(k) % cols;
-      const int row = static_cast<int>(k) / cols;
-      ASSERT_EQ(inside, col >= range.col_begin && col < range.col_end &&
-                            row >= range.row_begin && row < range.row_end)
-          << "trial " << trial << " point " << k;
-    }
-    ASSERT_EQ(range.count(), expected) << "trial " << trial;
-  }
-}
-
 }  // namespace
 }  // namespace ccdem::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,52 @@ TEST(Pixel, Luma) {
   EXPECT_EQ(colors::kBlack.luma(), 0);
   EXPECT_EQ(colors::kWhite.luma(), 255);
   EXPECT_GT(colors::kGreen.luma(), colors::kBlue.luma());
+}
+
+/// The previous fill_span, kept as the reference: seed one pixel, then
+/// double the filled prefix with memcpy until the span is full.
+void fill_span_by_doubling(Rgb888* p, std::size_t n, Rgb888 c) {
+  if (n == 0) return;
+  if (c.r == c.g && c.g == c.b) {
+    std::memset(static_cast<void*>(p), c.r, n * sizeof(Rgb888));
+    return;
+  }
+  p[0] = c;
+  std::size_t filled = 1;
+  while (filled < n) {
+    const std::size_t chunk = filled < n - filled ? filled : n - filled;
+    std::memcpy(p + filled, p, chunk * sizeof(Rgb888));
+    filled += chunk;
+  }
+}
+
+TEST(FillSpan, MatchesDoublingReferenceAndStaysInBounds) {
+  // Every length the short paths, the 48-byte blocks and the tail store
+  // handle, a full 720 px row and its neighbours, at every start phase of
+  // a 16-pixel block, for grey and non-grey colours.  The guard pixels on
+  // both sides must come out untouched.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 80; ++n) lengths.push_back(n);
+  for (std::size_t n = 719; n <= 721; ++n) lengths.push_back(n);
+  const Rgb888 guard{1, 2, 3};
+  const Rgb888 colours[] = {Rgb888{220, 40, 40}, Rgb888{0, 0, 1},
+                            Rgb888{255, 254, 253}, colors::kGray,
+                            colors::kBlack, colors::kWhite};
+  constexpr std::size_t kGuard = 24;
+  for (const Rgb888 c : colours) {
+    for (const std::size_t n : lengths) {
+      for (std::size_t offset = 0; offset < 16; ++offset) {
+        std::vector<Rgb888> got(kGuard + offset + n + kGuard, guard);
+        std::vector<Rgb888> want = got;
+        fill_span(got.data() + kGuard + offset, n, c);
+        fill_span_by_doubling(want.data() + kGuard + offset, n, c);
+        ASSERT_EQ(got, want) << "n " << n << " offset " << offset
+                             << " colour " << c.packed();
+        ASSERT_EQ(got.front(), guard);
+        ASSERT_EQ(got.back(), guard);
+      }
+    }
+  }
 }
 
 TEST(Framebuffer, ConstructedFilled) {

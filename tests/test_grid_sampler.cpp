@@ -27,8 +27,8 @@ TEST(GridSampler, SampleCountMatchesGrid) {
 
 TEST(GridSampler, PointsInsideScreen) {
   const GridSampler s(kScreen, GridSpec::grid_2k());
-  for (const auto& p : s.points()) {
-    EXPECT_TRUE(gfx::Rect::of(kScreen).contains(p));
+  for (std::size_t k = 0; k < s.sample_count(); ++k) {
+    EXPECT_TRUE(gfx::Rect::of(kScreen).contains(s.point(k)));
   }
 }
 
@@ -37,17 +37,26 @@ TEST(GridSampler, FullResolutionSamplesEveryPixel) {
   const GridSampler s(small, GridSpec{8, 8});
   EXPECT_EQ(s.sample_count(), 64u);
   // Every pixel is its own cell; the centre is the pixel itself.
-  EXPECT_EQ(s.points()[0], (gfx::Point{0, 0}));
-  EXPECT_EQ(s.points()[63], (gfx::Point{7, 7}));
+  EXPECT_EQ(s.point(0), (gfx::Point{0, 0}));
+  EXPECT_EQ(s.point(63), (gfx::Point{7, 7}));
+  // Sampling reads the very last pixel of the buffer (the sanitized suite
+  // catches any load past its end).
+  gfx::Framebuffer fb(small);
+  fb.set(7, 7, gfx::colors::kRed);
+  std::vector<gfx::Rgb888> out;
+  s.sample(fb, out);
+  ASSERT_EQ(out.size(), 64u);
+  EXPECT_EQ(out[63], gfx::colors::kRed);
+  EXPECT_EQ(out[62], gfx::colors::kBlack);
 }
 
 TEST(GridSampler, CellCentersAreCentered) {
   const gfx::Size screen{100, 100};
   const GridSampler s(screen, GridSpec{10, 10});
   // First cell spans [0, 10); its centre pixel is (5, 5).
-  EXPECT_EQ(s.points()[0], (gfx::Point{5, 5}));
+  EXPECT_EQ(s.point(0), (gfx::Point{5, 5}));
   // Last cell spans [90, 100); centre (95, 95).
-  EXPECT_EQ(s.points().back(), (gfx::Point{95, 95}));
+  EXPECT_EQ(s.point(s.sample_count() - 1), (gfx::Point{95, 95}));
 }
 
 TEST(GridSampler, SampleExtractsPixels) {

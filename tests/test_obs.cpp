@@ -157,6 +157,63 @@ TEST(SpanRecorder, RingOverflowKeepsMostRecentWindow) {
   }
 }
 
+TEST(SpanRecorder, GrowsUntilFullThenWraps) {
+  // The ring grows as it records and wraps only once it holds capacity()
+  // spans; retained spans and dropped() must read the same on both sides of
+  // that boundary.
+  if (!SpanRecorder::compiled_in()) GTEST_SKIP() << "spans compiled out";
+  SpanRecorder rec(4);
+  EXPECT_EQ(rec.capacity(), 4u);
+  std::int64_t next = 0;
+  const auto record_until = [&](std::int64_t total) {
+    for (; next < total; ++next) {
+      rec.record(Phase::kCompose, sim::Time{next}, sim::Duration{}, 0, next);
+    }
+  };
+  const auto ticks = [&]() {
+    std::vector<std::int64_t> out;
+    for (const Span& s : rec.spans()) out.push_back(s.begin.ticks);
+    return out;
+  };
+  record_until(3);
+  EXPECT_EQ(ticks(), (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(rec.dropped(), 0u);
+  record_until(4);
+  EXPECT_EQ(ticks(), (std::vector<std::int64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(rec.dropped(), 0u);
+  record_until(5);
+  EXPECT_EQ(ticks(), (std::vector<std::int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(rec.dropped(), 1u);
+  record_until(9);
+  EXPECT_EQ(ticks(), (std::vector<std::int64_t>{5, 6, 7, 8}));
+  EXPECT_EQ(rec.dropped(), 5u);
+  EXPECT_EQ(rec.recorded(), 9u);
+  EXPECT_EQ(rec.capacity(), 4u);
+}
+
+TEST(SpanRecorder, ClearMidGrowthStartsOver) {
+  if (!SpanRecorder::compiled_in()) GTEST_SKIP() << "spans compiled out";
+  SpanRecorder rec(4);
+  for (std::int64_t i = 0; i < 2; ++i) {
+    rec.record(Phase::kMeter, sim::Time{i}, sim::Duration{}, 0, 0);
+  }
+  rec.clear();
+  EXPECT_TRUE(rec.spans().empty());
+  EXPECT_EQ(rec.recorded(), 0u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_EQ(rec.capacity(), 4u);
+  // Refill past capacity: the ring grows again from empty, then wraps.
+  for (std::int64_t i = 10; i < 15; ++i) {
+    rec.record(Phase::kMeter, sim::Time{i}, sim::Duration{}, 0, 0);
+  }
+  const std::vector<Span> spans = rec.spans();
+  ASSERT_EQ(spans.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(spans[i].begin.ticks, static_cast<std::int64_t>(11 + i));
+  }
+  EXPECT_EQ(rec.dropped(), 1u);
+}
+
 TEST(SpanRecorder, DisabledRecordsNothing) {
   SpanRecorder rec(4);
   rec.set_enabled(false);

@@ -6,6 +6,7 @@
 
 #include "core/metering_cost_model.h"
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 
@@ -33,7 +34,8 @@ TEST_P(GridProperty, SampleCountMatchesSpec) {
 TEST_P(GridProperty, PointsAreUniqueAndInBounds) {
   const GridSampler s(kScreen, grid());
   std::set<std::pair<int, int>> seen;
-  for (const auto& p : s.points()) {
+  for (std::size_t k = 0; k < s.sample_count(); ++k) {
+    const gfx::Point p = s.point(k);
     EXPECT_TRUE(gfx::Rect::of(kScreen).contains(p));
     EXPECT_TRUE(seen.insert({p.x, p.y}).second) << "duplicate sample point";
   }
@@ -63,7 +65,7 @@ TEST_P(GridProperty, EverySampledPixelChangeIsDetected) {
   for (int i = 0; i < 32; ++i) {
     const auto k = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(s.sample_count()) - 1));
-    const gfx::Point p = s.points()[k];
+    const gfx::Point p = s.point(k);
     const gfx::Rgb888 old = fb.at(p.x, p.y);
     fb.set(p.x, p.y, gfx::Rgb888{static_cast<std::uint8_t>(old.r + 1),
                                  old.g, old.b});
@@ -86,8 +88,59 @@ TEST_P(GridProperty, SampleExtractionRoundTrips) {
   s.sample(fb, snap);
   ASSERT_EQ(snap.size(), s.sample_count());
   for (std::size_t k = 0; k < snap.size(); ++k) {
-    const gfx::Point p = s.points()[k];
+    const gfx::Point p = s.point(k);
     EXPECT_EQ(snap[k], fb.at(p.x, p.y));
+  }
+}
+
+TEST_P(GridProperty, PointsFollowTheAxisCenters) {
+  // point(k) is row-major over the per-axis centre tables, which the meter's
+  // full-frame reference loop walks directly.
+  const GridSampler s(kScreen, grid());
+  const auto& xs = s.column_centers();
+  const auto& ys = s.row_centers();
+  ASSERT_EQ(xs.size(), static_cast<std::size_t>(grid().cols));
+  ASSERT_EQ(ys.size(), static_cast<std::size_t>(grid().rows));
+  std::size_t k = 0;
+  for (const int y : ys) {
+    for (const int x : xs) {
+      ASSERT_EQ(s.point(k), (gfx::Point{x, y})) << "point " << k;
+      ++k;
+    }
+  }
+}
+
+TEST_P(GridProperty, IndexRangeMatchesBruteForceScan) {
+  // index_range() is the geometric core of culling: for random rects,
+  // including ones hanging off every screen edge, it must select exactly
+  // the grid points whose centre the rect contains.  Trials shrink with the
+  // grid so each parameter scans a similar number of points.
+  const GridSampler s(kScreen, grid());
+  const int cols = grid().cols;
+  const auto points = static_cast<std::int64_t>(s.sample_count());
+  const std::int64_t trials =
+      std::clamp<std::int64_t>(8'000'000 / points, 8, 2000);
+  sim::Rng rng(99);
+  for (std::int64_t trial = 0; trial < trials; ++trial) {
+    gfx::Rect r = gfx::Rect::of(kScreen);
+    if (trial > 0) {
+      r = gfx::Rect{static_cast<int>(rng.uniform_int(-40, kScreen.width)),
+                    static_cast<int>(rng.uniform_int(-40, kScreen.height)),
+                    static_cast<int>(rng.uniform_int(0, 160)),
+                    static_cast<int>(rng.uniform_int(0, 160))};
+    }
+    const GridSampler::IndexRange range = s.index_range(r);
+    std::int64_t expected = 0;
+    for (std::int64_t k = 0; k < points; ++k) {
+      const bool inside = r.contains(s.point(static_cast<std::size_t>(k)));
+      if (inside) ++expected;
+      const int col = static_cast<int>(k % cols);
+      const int row = static_cast<int>(k / cols);
+      ASSERT_EQ(inside, col >= range.col_begin && col < range.col_end &&
+                            row >= range.row_begin && row < range.row_end)
+          << "trial " << trial << " point " << k;
+    }
+    ASSERT_EQ(range.count(), expected) << "trial " << trial;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "apps/video_scene.h"
 #include "apps/wallpaper_scene.h"
 #include "gfx/framebuffer.h"
+#include "sim/rng.h"
 
 namespace ccdem::apps {
 namespace {
@@ -255,6 +256,41 @@ TEST(MapScene2D, MovesWithoutDownAreIgnored) {
   rig.scene->on_touch({sim::at_seconds(0.1), {100, 100},
                        input::TouchEvent::Action::kMove});
   EXPECT_FALSE(rig.render_at(0.2).first);
+}
+
+TEST(MapScene2D, PaintedBandMatchesWorldColorPerPixel) {
+  // paint_world fills runs between tile and road edges; every pixel must
+  // still be world_color at its world coordinate.  Origins are random on
+  // both sides of zero (negative world coordinates take the floor branch of
+  // the tile index), and bands hang off every edge of the buffer.
+  const gfx::Rgb888 untouched{1, 2, 3};
+  gfx::Framebuffer fb(300, 90);
+  sim::Rng rng(77);
+  for (int trial = 0; trial < 60; ++trial) {
+    const gfx::Point origin =
+        trial == 0 ? gfx::Point{-150, -45}
+                   : gfx::Point{static_cast<int>(rng.uniform_int(-70000, 70000)),
+                                static_cast<int>(rng.uniform_int(-70000, 70000))};
+    const gfx::Rect band =
+        trial == 0 ? fb.bounds()
+                   : gfx::Rect{static_cast<int>(rng.uniform_int(-50, 300)),
+                               static_cast<int>(rng.uniform_int(-20, 90)),
+                               static_cast<int>(rng.uniform_int(0, 400)),
+                               static_cast<int>(rng.uniform_int(0, 60))};
+    fb.fill(untouched);
+    const gfx::Rect painted = MapScene::paint_world(fb, band, origin);
+    EXPECT_EQ(painted, band.intersect(fb.bounds()));
+    for (int y = 0; y < fb.height(); ++y) {
+      for (int x = 0; x < fb.width(); ++x) {
+        const gfx::Rgb888 want =
+            painted.contains({x, y})
+                ? MapScene::world_color(origin.x + x, origin.y + y)
+                : untouched;
+        ASSERT_EQ(fb.at(x, y), want) << "trial " << trial << " pixel " << x
+                                     << "," << y;
+      }
+    }
+  }
 }
 
 // --- wallpaper ----------------------------------------------------------------
