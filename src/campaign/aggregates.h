@@ -25,7 +25,7 @@
 //
 // Scheduling-dependent counters (the pool.* family, whose values depend on
 // how runs share a fleet worker's device) are excluded from counter sums,
-// mirroring the fleet-vs-serial oracle's "identical modulo pool.*" law.
+// mirroring the DST replay oracle's "identical modulo pool.*" law.
 #pragma once
 
 #include <cstdint>

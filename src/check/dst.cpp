@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "fault/fault_plan.h"
-#include "harness/fleet.h"
 #include "metrics/quality.h"
 
 namespace ccdem::check {
@@ -107,57 +106,27 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
     }
   }
 
-  // The unculled reference run also feeds the I5 invariant below.
-  std::optional<RunArtifacts> unculled;
-  if (options.oracle_unculled) {
-    unculled = run_scenario_once(cfg, {.damage_culling = false});
-    // Meter bit-flip faults legitimately split the two paths: a flip at a
-    // sample outside the damage region is invisible to the damage-scoped
-    // scan (those points are neither read nor refreshed) but triggers the
-    // full reference scan.  The equivalence claim only covers fault-free
-    // sampling, so the diff is skipped -- I5's accounting checks still run.
-    const bool meter_faults =
-        s.fault_scale > 0.0 && s.fault_classes.meter;
-    if (!meter_faults) {
-      if (auto d =
-              diff_results(culled.result, unculled->result, "unculled")) {
-        report.failures.push_back(*d);
-      }
-      // The culled meter reads fewer pixels -- that is the whole point --
-      // so only the meter work counters may differ.
-      if (auto d = diff_counters(culled.counters, unculled->counters,
-                                 "unculled", {"meter.pixels_"})) {
-        report.failures.push_back(*d);
-      }
-    }
-  }
-
-  if (options.oracle_spans_off) {
-    const RunArtifacts quiet = run_scenario_once(cfg, {.spans = false});
-    if (auto d = diff_results(culled.result, quiet.result, "spans-off")) {
+  // The reference replay changes three choices at once, none of which may
+  // change a result or counter: the meter scans the whole grid instead of
+  // the damage, spans are off, and a fleet scenario runs on a FleetRunner
+  // worker's pooled device.  Meter bit-flip faults legitimately split the
+  // culled and unculled scans: a flip at a sample outside the damage region
+  // is invisible to the damage-scoped scan (those points are neither read
+  // nor refreshed) but triggers the full reference scan.  The equivalence
+  // claim only covers fault-free sampling, so such scenarios replay culled.
+  const bool meter_faults = s.fault_scale > 0.0 && s.fault_classes.meter;
+  std::optional<RunArtifacts> replay;
+  if (options.oracle_replay) {
+    replay = run_scenario_once(cfg, {.damage_culling = meter_faults,
+                                     .spans = false,
+                                     .fleet = s.fleet});
+    if (auto d = diff_results(culled.result, replay->result, "replay")) {
       report.failures.push_back(*d);
     }
-    if (auto d = diff_counters(culled.counters, quiet.counters, "spans-off")) {
-      report.failures.push_back(*d);
-    }
-  }
-
-  if (options.oracle_fleet && s.fleet) {
-    harness::FleetRunner fleet;
-    // The serial leg hashed its frame stream (RunOptions default), so the
-    // fleet leg must too for the result diff to compare them.
-    harness::ExperimentConfig fleet_cfg = cfg;
-    fleet_cfg.hash_frames = true;
-    const std::vector<harness::ExperimentResult> results =
-        fleet.run({fleet_cfg});
-    if (auto d = diff_results(culled.result, results.at(0), "fleet")) {
-      report.failures.push_back(*d);
-    }
-    // Fleet workers recycle device storage through a buffer pool the serial
-    // run does not use; everything else must merge to identical totals.
-    if (auto d = diff_counters(culled.counters,
-                               fleet.stats().counters.snapshot(), "fleet",
-                               {"pool."})) {
+    // The unculled meter reads more pixels -- culling's whole point -- and
+    // fleet workers recycle storage through a buffer pool.
+    if (auto d = diff_counters(culled.counters, replay->counters, "replay",
+                               {"meter.pixels_", "pool."})) {
       report.failures.push_back(*d);
     }
   }
@@ -168,8 +137,9 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
 
   if (options.invariants) {
     const TraceInvariantChecker checker(s, options.invariant_options);
-    for (std::string& v :
-         checker.check(culled, unculled ? &*unculled : nullptr)) {
+    const RunArtifacts* unculled =
+        replay && !meter_faults ? &*replay : nullptr;
+    for (std::string& v : checker.check(culled, unculled)) {
       report.failures.push_back(std::move(v));
     }
   }

@@ -4,9 +4,10 @@
 // check_scenario() is the single entry the tests, the corpus replayer and
 // the minimizer predicate all share: it expands the scenario, runs the real
 // SimulatedDevice, and applies
-//   * the differential oracles (oracles.h): determinism, culled-vs-unculled
-//     meter, spans-off counter identity, fleet-vs-serial, Equation (1)
-//     brute-force reference,
+//   * the differential oracles (oracles.h): determinism, the reference
+//     replay (unculled meter unless meter faults are planned, spans off
+//     and -- for fleet scenarios -- a FleetRunner worker, all in one run),
+//     Equation (1) brute-force reference,
 //   * the trace invariants (invariants.h),
 //   * the display-quality gate (I4): on clean proposed-system runs, a
 //     baseline-60 Hz arm with the same seed/script is run and
@@ -31,10 +32,10 @@ namespace ccdem::check {
 
 struct CheckOptions {
   bool oracle_determinism = true;
-  bool oracle_unculled = true;
-  bool oracle_spans_off = true;
-  /// Fleet oracle runs only when the scenario's `fleet` flag is set, too.
-  bool oracle_fleet = true;
+  /// One reference replay with spans off, the meter unculled unless the
+  /// scenario plans meter faults, and on a FleetRunner worker when the
+  /// scenario's `fleet` flag is set; it also feeds I5's unculled accounting.
+  bool oracle_replay = true;
   bool oracle_reference = true;
   bool invariants = true;
   /// I4: clean proposed-system scenarios get a baseline-60 quality arm.

@@ -62,8 +62,9 @@ class TraceInvariantChecker {
                                  InvariantOptions options = {});
 
   /// Checks every invariant against the primary (damage-culled) run;
-  /// `unculled` -- when available -- additionally gets the I5 reference-path
-  /// accounting check.  Returns all violations (empty = pass).
+  /// `unculled` -- the reference replay, when it ran unculled -- additionally
+  /// gets the I5 reference-path accounting check.  Returns all violations
+  /// (empty = pass).
   [[nodiscard]] std::vector<std::string> check(
       const RunArtifacts& culled, const RunArtifacts* unculled = nullptr) const;
 

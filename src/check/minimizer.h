@@ -9,7 +9,8 @@
 //
 // Shrinking is a fixpoint of cheap-first passes:
 //   1. halve the duration (the single biggest replay-cost lever),
-//   2. drop the fleet arm, zero the fault plan / single fault classes,
+//   2. replay on a fresh device instead of a fleet worker, zero the fault
+//      plan / single fault classes,
 //   3. walk the mode ladder down (hysteresis -> boost -> plain section),
 //   4. materialize the Monkey script into the scenario and delta-debug the
 //      gesture list (so the final repro carries its own, minimal script),

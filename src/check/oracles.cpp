@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/section_table.h"
+#include "harness/fleet.h"
 #include "obs/obs.h"
 #include "obs/trace_export.h"
 
@@ -65,16 +66,22 @@ std::optional<std::string> diff_scalar(std::uint64_t a, std::uint64_t b,
 
 RunArtifacts run_scenario_once(harness::ExperimentConfig cfg,
                                const RunOptions& opt) {
-  obs::ObsSink sink;
-  sink.spans.set_enabled(opt.spans);
-  cfg.obs = &sink;
   cfg.dpm.meter.damage_culling = opt.damage_culling;
   cfg.governor.meter.damage_culling = opt.damage_culling;
   cfg.hash_frames = opt.hash_frames;
   RunArtifacts out;
-  out.result = harness::run_experiment(cfg);
-  out.counters = sink.counters.snapshot();
-  out.spans = sink.spans.spans();
+  if (opt.fleet) {
+    harness::FleetRunner fleet;
+    out.result = fleet.run({cfg}).at(0);
+    out.counters = fleet.stats().counters.snapshot();
+  } else {
+    obs::ObsSink sink;
+    sink.spans.set_enabled(opt.spans);
+    cfg.obs = &sink;
+    out.result = harness::run_experiment(cfg);
+    out.counters = sink.counters.snapshot();
+    out.spans = sink.spans.spans();
+  }
   out.trace_csv = obs::trace_csv_to_string(out.spans, out.counters);
   return out;
 }

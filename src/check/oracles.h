@@ -1,17 +1,17 @@
 // Differential oracles: the same scenario run several ways must agree.
 //
-// Each oracle replays one experiment config through an independent
-// implementation of some subsystem and diffs everything observable:
+// Each oracle replays one experiment config a second way and diffs
+// everything observable:
 //  * determinism  -- the same config twice; the serialized obs trace must be
 //                    byte-identical (this is also what makes .repro replay
 //                    exact),
-//  * unculled     -- the damage-culled meter vs the full-grid reference
-//                    (set_damage_culling(false)); results and counters must
-//                    match except the meter.pixels_* work counters,
-//  * spans-off    -- recording spans must not change a single counter or
-//                    result (observability is passive),
-//  * fleet        -- the work-stealing FleetRunner vs the serial run
-//                    (identical modulo the pool.* reuse counters),
+//  * replay       -- one reference run that changes three choices at once:
+//                    the full-grid meter scan instead of the damage-culled
+//                    one (unless the scenario plans meter faults), span
+//                    recording off, and a FleetRunner worker instead of a
+//                    fresh device when the scenario sets `fleet`; results
+//                    and counters must match except the meter.pixels_* work
+//                    counters and the pool.* reuse counters,
 //  * section ref  -- SectionTable/policy decisions vs a brute-force
 //                    reimplementation of Equation (1).
 #pragma once
@@ -48,10 +48,14 @@ struct RunOptions {
   /// agreement.  Arms that read only other results (the I4 quality and I8
   /// steady-state arms compare content-rate traces) turn it off.
   bool hash_frames = true;
+  /// Run as a one-config FleetRunner sweep: a pooled device on the worker's
+  /// own sink.  Fleet workers record no spans, so `spans` is moot here.
+  bool fleet = false;
 };
 
-/// Runs the config against a fresh device + private ObsSink and captures
-/// the artifacts.  The config's own obs pointer is ignored.
+/// Runs the config against a fresh device (or a fleet worker's pooled one)
+/// and a private ObsSink and captures the artifacts.  The config's own obs
+/// pointer is ignored.
 [[nodiscard]] RunArtifacts run_scenario_once(harness::ExperimentConfig cfg,
                                              const RunOptions& opt = {});
 

@@ -85,7 +85,8 @@ struct Scenario {
   /// here and the ladder must recover to rung 0 (invariant I8).
   std::int64_t pressure_until_ms = 0;
   PressureClasses pressure_classes{};
-  /// Additionally diff the run through the FleetRunner (serial == fleet).
+  /// Run the reference replay (check/dst.h) as a one-config FleetRunner
+  /// sweep on a pooled device instead of on a fresh one.
   bool fleet = false;
   /// Scene override in canonical ccdem-scene-v1 text (apps/scene_dsl.h);
   /// empty = the app profile's own scene.  Serialized between

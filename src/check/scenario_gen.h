@@ -1,7 +1,7 @@
 // ScenarioGen: seeded whole-experiment sampler for the DST fuzzer.
 //
 // Samples complete Scenarios -- app profile, control mode, grid density,
-// section-table shape, rate ladder, fault plan, fleet-vs-serial -- from one
+// section-table shape, rate ladder, fault plan, fleet replay -- from one
 // Xoshiro stream, so a fuzz campaign is a pure function of its seed: the
 // nth scenario of seed S is the same on every machine and every run, which
 // is what lets CI failures be reproduced locally by seed alone.
@@ -20,7 +20,7 @@ class ScenarioGen {
   struct Options {
     std::int64_t min_duration_ms = 1500;
     std::int64_t max_duration_ms = 5000;
-    /// Probability a scenario additionally runs the fleet-identity oracle.
+    /// Probability a scenario's reference replay runs on a fleet worker.
     double fleet_p = 0.25;
     /// Probability a scenario carries a fault plan.
     double fault_p = 0.45;

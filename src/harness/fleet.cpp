@@ -53,10 +53,12 @@ std::vector<ExperimentResult> FleetRunner::run(
     stats_.counters.merge(sink.counters);
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+  // The calling thread is worker 0, so a one-config sweep spawns no thread.
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads - 1);
+  for (unsigned t = 1; t < threads; ++t) helpers.emplace_back(worker);
+  worker();
+  for (std::thread& t : helpers) t.join();
   return results;
 }
 

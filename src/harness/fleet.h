@@ -9,6 +9,11 @@
 // framebuffer and meter-snapshot storage (several MB per device assembly)
 // across runs.  Pooled storage is always re-initialised before use, so
 // reuse cannot leak state between runs.
+//
+// The calling thread is worker 0 and run() spawns only the other workers,
+// so a one-config sweep -- DST's reference replay of a fleet-flagged
+// scenario (check/dst.h) -- runs on a pooled device without a new thread
+// stack or allocator arena.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +51,8 @@ class FleetRunner {
 
   /// Runs every config and returns results in input order, bit-identical
   /// to calling run_experiment() sequentially.  Work is claimed from a
-  /// shared queue, so an expensive config does not stall the others.
+  /// shared queue, so an expensive config does not stall the others; the
+  /// calling thread works too, next to `workers - 1` spawned threads.
   [[nodiscard]] std::vector<ExperimentResult> run(
       const std::vector<ExperimentConfig>& configs);
 

@@ -10,8 +10,10 @@
 // counts, and a work ledger that accounts for every grid point.
 #include <gtest/gtest.h>
 
+#include "apps/app_profiles.h"
 #include "core/content_rate_meter.h"
 #include "gfx/region.h"
+#include "harness/experiment.h"
 #include "obs/obs.h"
 #include "sim/rng.h"
 
@@ -162,6 +164,49 @@ TEST(DamageCulling, EmptyDamageTouchesNoPixels) {
   EXPECT_EQ(m.counter("meter.pixels_compare_skipped"),
             10u * static_cast<std::uint64_t>(
                       GridSpec::grid_9k().sample_count()));
+}
+
+// Whole-device guard on the same contract, over perfbench's four replay
+// profiles: meter.pixels_compared per composed frame (1 s runs at seeds
+// 1-4, summed) may grow at most 25% past what the culled meter compares
+// today.  The count is deterministic, so the bound holds on any host; a
+// return to O(screen) metering compares several times more.
+TEST(DamageCulling, ComparedPixelsPerFrameStayBounded) {
+  struct Profile {
+    const char* app;
+    harness::ControlMode mode;
+    double swipe_probability;  // < 0: the profile's own Monkey mix
+    double compared_per_frame;
+  };
+  const Profile profiles[] = {
+      {"Auction", harness::ControlMode::kSection, -1.0, 1813.091},
+      {"Facebook", harness::ControlMode::kSection, 0.9, 2046.316},
+      {"Jelly Splash", harness::ControlMode::kSectionWithBoost, -1.0,
+       293.425},
+      {"MX Player", harness::ControlMode::kSection, -1.0, 468.500},
+  };
+  for (const Profile& p : profiles) {
+    obs::ObsSink sink;
+    sink.spans.set_enabled(false);
+    std::uint64_t frames = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      harness::ExperimentConfig cfg;
+      cfg.app = apps::app_by_name(p.app);
+      if (p.swipe_probability >= 0.0) {
+        cfg.app.monkey.swipe_probability = p.swipe_probability;
+      }
+      cfg.mode = p.mode;
+      cfg.duration = sim::seconds(1);
+      cfg.seed = seed;
+      cfg.obs = &sink;
+      frames += harness::run_experiment(cfg).frames_composed;
+    }
+    ASSERT_GT(frames, 0u) << p.app;
+    const double per_frame =
+        static_cast<double>(sink.counters.value("meter.pixels_compared")) /
+        static_cast<double>(frames);
+    EXPECT_LE(per_frame, 1.25 * p.compared_per_frame) << p.app;
+  }
 }
 
 }  // namespace

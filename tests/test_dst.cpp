@@ -117,7 +117,7 @@ TEST(ScenarioIo, ReproFileParsesThroughHeader) {
   Scenario s;
   s.duration_ms = 777;
   const std::string repro =
-      repro_to_string(s, {"I6 span: something", "unculled: other"});
+      repro_to_string(s, {"I6 span: something", "replay: other"});
   std::string error;
   const auto parsed = parse_scenario(repro, &error);
   ASSERT_TRUE(parsed) << error;

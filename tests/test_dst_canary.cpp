@@ -1,7 +1,8 @@
 // Mutation smoke: with -DCCDEM_CANARY_BUG=ON the damage-cull path drops the
 // rightmost pixel column of every damage rect, and the DST harness must
-// (a) catch the divergence from the unculled reference and (b) minimize it
-// to a small, replayable .repro.  In a normal build this whole file skips.
+// (a) catch the divergence from the unculled reference replay and
+// (b) minimize it to a small, replayable .repro.  In a normal build this
+// whole file skips.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -28,7 +29,7 @@ TEST(DstCanary, SkippedInNormalBuilds) {
 // scattered rects, and on a sparse grid a single sample under a rect's
 // rightmost column regularly decides the frame's classification.  This
 // scenario (mirrored in tests/corpus/wallpaper_2k_canary_sentinel.repro)
-// diverges from the unculled reference within the first 200 ms.
+// diverges from the unculled reference replay within the first 200 ms.
 Scenario canary_scenario() {
   Scenario s;
   s.app = "Nexus Revampled";
@@ -39,7 +40,7 @@ Scenario canary_scenario() {
   return s;
 }
 
-TEST(DstCanary, UnculledOracleCatchesTheBug) {
+TEST(DstCanary, ReplayOracleCatchesTheBug) {
   const CheckReport r = check_scenario(canary_scenario());
   ASSERT_FALSE(r.ok()) << "canary build but every oracle passed";
 }
@@ -47,17 +48,15 @@ TEST(DstCanary, UnculledOracleCatchesTheBug) {
 TEST(DstCanary, MinimizesToASmallReplayableRepro) {
   // Only the oracle that actually catches the bug runs during shrinking;
   // this keeps each predicate call to two experiment replays.
-  CheckOptions unculled_only;
-  unculled_only.oracle_determinism = false;
-  unculled_only.oracle_spans_off = false;
-  unculled_only.oracle_fleet = false;
-  unculled_only.oracle_reference = false;
-  unculled_only.invariants = false;
-  unculled_only.quality_arm = false;
+  CheckOptions replay_only;
+  replay_only.oracle_determinism = false;
+  replay_only.oracle_reference = false;
+  replay_only.invariants = false;
+  replay_only.quality_arm = false;
 
   const Scenario start = canary_scenario();
-  const FailurePredicate predicate = make_failure_predicate(unculled_only);
-  ASSERT_TRUE(predicate(start)) << "unculled oracle alone misses the canary";
+  const FailurePredicate predicate = make_failure_predicate(replay_only);
+  ASSERT_TRUE(predicate(start)) << "replay oracle alone misses the canary";
 
   const MinimizeResult m = minimize_scenario(start, predicate);
   ASSERT_FALSE(m.failure.empty());
@@ -109,9 +108,7 @@ Scenario ladder_canary_scenario() {
 CheckOptions invariants_only() {
   CheckOptions o;
   o.oracle_determinism = false;
-  o.oracle_unculled = false;
-  o.oracle_spans_off = false;
-  o.oracle_fleet = false;
+  o.oracle_replay = false;
   o.oracle_reference = false;
   o.quality_arm = false;
   o.pressure_recovery_arm = false;
@@ -193,9 +190,7 @@ Scenario ui_scene_canary_scenario() {
 /// build, but identical across replays) cannot steal the failure.
 CheckOptions determinism_only() {
   CheckOptions o;
-  o.oracle_unculled = false;
-  o.oracle_spans_off = false;
-  o.oracle_fleet = false;
+  o.oracle_replay = false;
   o.oracle_reference = false;
   o.invariants = false;
   o.quality_arm = false;

@@ -47,7 +47,7 @@ std::vector<fs::path> corpus_files() {
 }
 
 TEST(DstReplay, CorpusIsPresent) {
-  EXPECT_GE(corpus_files().size(), 14u)
+  EXPECT_GE(corpus_files().size(), 15u)
       << "seed corpus under tests/corpus/ went missing";
 }
 

@@ -213,7 +213,7 @@ check::Scenario scene_scenario(const std::string& app) {
 // The 1-px marquee is the Fig. 6 blind-spot shape: a band thinner than the
 // sampling grid stride can slip between sampled rows.  The drifting band
 // plus the damage-scoped meter must keep the run above the quality gate and
-// byte-identical to the unculled-scan arm.
+// byte-identical to the unculled reference replay.
 TEST(UiSceneCheck, OnePxMarqueeSurvivesAllOracles) {
   check::Scenario s = scene_scenario("Facebook");
   UiSceneSpec ui;
