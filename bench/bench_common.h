@@ -70,26 +70,9 @@ struct AppEval {
   }
 };
 
-inline AppEval evaluate_app(const apps::AppSpec& app, int seconds,
-                            std::uint64_t seed = 1) {
-  AppEval e;
-  e.app = app;
-  e.baseline = harness::run_experiment(
-      make_config(app, harness::ControlMode::kBaseline60, seconds, seed));
-  e.section = harness::run_experiment(
-      make_config(app, harness::ControlMode::kSection, seconds, seed));
-  e.boost = harness::run_experiment(make_config(
-      app, harness::ControlMode::kSectionWithBoost, seconds, seed));
-  e.q_section =
-      metrics::compare_quality(e.baseline.content_rate, e.section.content_rate);
-  e.q_boost =
-      metrics::compare_quality(e.baseline.content_rate, e.boost.content_rate);
-  return e;
-}
-
 /// Evaluates the full 30-app fleet (3 runs per app) on all cores; results
-/// are bit-identical to the serial evaluate_app loop.  Pass `stats` to
-/// receive the fleet's run/buffer-reuse counters.
+/// are bit-identical to running the same configs one by one.  Pass `stats`
+/// to receive the fleet's run/buffer-reuse counters.
 inline std::vector<AppEval> evaluate_all(int seconds, std::uint64_t seed = 1,
                                          harness::FleetStats* stats = nullptr) {
   const std::vector<apps::AppSpec> apps_list = apps::all_apps();

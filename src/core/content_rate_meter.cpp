@@ -6,13 +6,10 @@
 namespace ccdem::core {
 
 ContentRateMeter::ContentRateMeter(gfx::Size screen, GridSpec grid,
-                                   sim::Duration window, MeterMode mode,
-                                   gfx::BufferPool* pool)
-    : sampler_(screen, grid), window_(window), mode_(mode), pool_(pool) {
+                                   sim::Duration window, gfx::BufferPool* pool)
+    : sampler_(screen, grid), window_(window), pool_(pool) {
   assert(window.ticks > 0);
-  if (mode_ == MeterMode::kFullFrame) {
-    retained_ = gfx::Framebuffer(screen, pool_);
-  } else if (pool_ != nullptr) {
+  if (pool_ != nullptr) {
     // Pre-size the retained snapshot and the unculled path's scratch from
     // the pool; the priming capture writes every element before any
     // comparison reads them.
@@ -22,15 +19,10 @@ ContentRateMeter::ContentRateMeter(gfx::Size screen, GridSpec grid,
 }
 
 ContentRateMeter::~ContentRateMeter() {
-  if (pool_ != nullptr && mode_ != MeterMode::kFullFrame) {
+  if (pool_ != nullptr) {
     pool_->release(std::move(samples_));
     pool_->release(std::move(scratch_));
   }
-}
-
-const gfx::Framebuffer& ContentRateMeter::previous_frame() const {
-  assert(mode_ == MeterMode::kFullFrame);
-  return retained_;
 }
 
 void ContentRateMeter::set_obs(obs::ObsSink* obs) {
@@ -104,64 +96,13 @@ bool ContentRateMeter::classify_sampled(const gfx::Framebuffer& fb,
   return meaningful;
 }
 
-bool ContentRateMeter::classify_full_frame(const gfx::Framebuffer& fb,
-                                           const gfx::Region& damage,
-                                           bool primed) {
-  last_compared_ = 0;
-  last_skipped_ = 0;
-  if (!primed) {
-    retained_.blit(fb, fb.bounds(), gfx::Point{0, 0});
-    return true;
-  }
-  if (!damage_culling_) {
-    // Reference path: compare every grid point in row-major order (early
-    // exit), then retain a full copy of the current frame.
-    const auto first_difference = [&]() {
-      for (const int y : sampler_.row_centers()) {
-        const auto cur = fb.row(y);
-        const auto old = retained_.row(y);
-        for (const int x : sampler_.column_centers()) {
-          ++last_compared_;
-          if (cur[static_cast<std::size_t>(x)] !=
-              old[static_cast<std::size_t>(x)]) {
-            return true;
-          }
-        }
-      }
-      return false;
-    };
-    const bool meaningful = first_difference();
-    retained_.blit(fb, fb.bounds(), gfx::Point{0, 0});
-    return meaningful;
-  }
-  // Damage-scoped: compare covered grid points, then reconcile the retained
-  // frame by copying only the damage, so retained_ stays byte-identical to
-  // the current frame.
-  bool meaningful = false;
-  for (const gfx::Rect& r : damage.rects()) {
-    const GridSampler::ScanResult res =
-        sampler_.compare_in_rect(fb, retained_, r);
-    last_compared_ += res.compared;
-    meaningful |= res.differed;
-  }
-  for (const gfx::Rect& r : damage.rects()) {
-    retained_.blit(fb, r, gfx::Point{r.x, r.y});
-  }
-  last_skipped_ =
-      static_cast<std::int64_t>(sampler_.sample_count()) - last_compared_;
-  return meaningful;
-}
-
 void ContentRateMeter::on_frame(const gfx::FrameInfo& info,
                                 const gfx::Framebuffer& fb) {
   const bool primed = have_prev_;
-  if (sample_fault_ != nullptr && primed &&
-      mode_ == MeterMode::kSampledSnapshot) {
+  if (sample_fault_ != nullptr && primed) {
     sample_fault_->corrupt_samples(info.composed_at, samples_);
   }
-  bool meaningful = mode_ == MeterMode::kFullFrame
-                        ? classify_full_frame(fb, info.damage, primed)
-                        : classify_sampled(fb, info.damage, primed);
+  bool meaningful = classify_sampled(fb, info.damage, primed);
   // The very first composed frame necessarily shows new content.
   if (!primed) meaningful = true;
   have_prev_ = true;

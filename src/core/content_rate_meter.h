@@ -33,20 +33,6 @@
 
 namespace ccdem::core {
 
-/// How the previous frame is retained for comparison.
-enum class MeterMode {
-  /// Store only the sampled grid pixels of the previous frame (cheap; the
-  /// default).  Comparison results are identical to full-frame mode because
-  /// only grid points are ever compared.
-  kSampledSnapshot,
-  /// Store the entire previous frame -- the paper's literal architecture
-  /// ("the framebuffer data are stored at an extra buffer").  Costs a
-  /// damage-sized copy per composition; kept for fidelity and for workloads
-  /// that need the previous frame for other purposes (e.g. the OLED
-  /// emission model could diff luma).
-  kFullFrame,
-};
-
 /// Corrupts the meter's retained grid samples before a comparison (fault
 /// layer: readback/bus bit flips).  Declared here so core stays independent
 /// of the fault library; the injector implements it.
@@ -59,11 +45,10 @@ class SampleFault {
 
 class ContentRateMeter final : public gfx::FrameListener {
  public:
-  /// `pool` (optional) recycles the sample snapshots (and, in full-frame
-  /// mode, the retained framebuffer) across meter lifetimes.
+  /// `pool` (optional) recycles the sample snapshots across meter
+  /// lifetimes.
   ContentRateMeter(gfx::Size screen, GridSpec grid,
                    sim::Duration window = sim::seconds(1),
-                   MeterMode mode = MeterMode::kSampledSnapshot,
                    gfx::BufferPool* pool = nullptr);
   ~ContentRateMeter() override;
 
@@ -75,9 +60,9 @@ class ContentRateMeter final : public gfx::FrameListener {
   /// comparison duration) per classified frame.
   void set_obs(obs::ObsSink* obs);
 
-  /// Corrupts retained grid samples ahead of each comparison (fault layer;
-  /// sampled-snapshot mode only).  Null -- the default -- costs the hot
-  /// path nothing but one pointer test.  Not owned.
+  /// Corrupts retained grid samples ahead of each comparison (fault layer).
+  /// Null -- the default -- costs the hot path nothing but one pointer
+  /// test.  Not owned.
   void set_sample_fault(SampleFault* fault) { sample_fault_ = fault; }
 
   /// When true (default), classification reads only the grid points inside
@@ -125,10 +110,6 @@ class ContentRateMeter final : public gfx::FrameListener {
     return cost_model_;
   }
   [[nodiscard]] const GridSampler& sampler() const { return sampler_; }
-  [[nodiscard]] MeterMode mode() const { return mode_; }
-
-  /// Full-frame mode only: the retained previous frame.
-  [[nodiscard]] const gfx::Framebuffer& previous_frame() const;
 
  private:
   /// Drops window observations with t <= now - window and keeps the running
@@ -138,24 +119,18 @@ class ContentRateMeter final : public gfx::FrameListener {
   void expire(sim::Time now) const;
   [[nodiscard]] bool classify_sampled(const gfx::Framebuffer& fb,
                                       const gfx::Region& damage, bool primed);
-  [[nodiscard]] bool classify_full_frame(const gfx::Framebuffer& fb,
-                                         const gfx::Region& damage,
-                                         bool primed);
 
   GridSampler sampler_;
   MeteringCostModel cost_model_;
   sim::Duration window_;
-  MeterMode mode_;
   gfx::BufferPool* pool_ = nullptr;
   bool damage_culling_ = true;
-  /// Sampled mode: the previous frame's grid samples.  Damage culling
-  /// updates only the covered points in place; the uncovered ones are
-  /// already correct because the frame cannot differ outside its damage.
+  /// The previous frame's grid samples.  Damage culling updates only the
+  /// covered points in place; the uncovered ones are already correct
+  /// because the frame cannot differ outside its damage.
   std::vector<gfx::Rgb888> samples_;
-  /// Sampled mode, unculled path only: scratch for the full fresh capture.
+  /// Unculled path only: scratch for the full fresh capture.
   std::vector<gfx::Rgb888> scratch_;
-  /// Full-frame mode: the retained previous frame.
-  gfx::Framebuffer retained_;
   bool have_prev_ = false;
   SampleFault* sample_fault_ = nullptr;
 

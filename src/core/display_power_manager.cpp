@@ -19,7 +19,7 @@ DisplayPowerManager::DisplayPowerManager(
       power_(power),
       config_(config),
       meter_(flinger.screen_size(), config.meter.grid, config.meter.window,
-             MeterMode::kSampledSnapshot, pool),
+             pool),
       booster_(config.boost_hold, config.boost_min_hold),
       prev_policy_hz_(panel.refresh_hz()),
       obs_(obs) {

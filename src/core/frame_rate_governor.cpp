@@ -18,7 +18,7 @@ FrameRateGovernor::FrameRateGovernor(sim::Simulator& sim,
       panel_(panel),
       config_(config),
       meter_(flinger.screen_size(), config.meter.grid, config.meter.window,
-             MeterMode::kSampledSnapshot, pool),
+             pool),
       obs_(obs) {
   assert(set_cap_);
   meter_.set_damage_culling(config_.meter.damage_culling);

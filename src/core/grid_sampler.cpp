@@ -116,29 +116,6 @@ GridSampler::ScanResult GridSampler::update_in_rect(
   return result;
 }
 
-GridSampler::ScanResult GridSampler::compare_in_rect(
-    const gfx::Framebuffer& fb, const gfx::Framebuffer& prev,
-    gfx::Rect r) const {
-  assert(fb.size() == screen_);
-  assert(prev.size() == screen_);
-  const IndexRange range = index_range(r);
-  ScanResult result;
-  if (range.empty()) return result;
-  const auto cur_px = fb.pixels();
-  const auto prev_px = prev.pixels();
-  for (int j = range.row_begin; j < range.row_end; ++j) {
-    const std::size_t fb_row =
-        static_cast<std::size_t>(center_ys_[static_cast<std::size_t>(j)]) *
-        screen_.width;
-    for (int i = range.col_begin; i < range.col_end; ++i) {
-      const std::size_t k = fb_row + center_xs_[static_cast<std::size_t>(i)];
-      result.differed |= cur_px[k] != prev_px[k];
-    }
-  }
-  result.compared = range.count();
-  return result;
-}
-
 bool GridSampler::differs(const gfx::Framebuffer& fb,
                           const std::vector<gfx::Rgb888>& prev) const {
   assert(fb.size() == screen_);

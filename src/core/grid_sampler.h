@@ -111,12 +111,6 @@ class GridSampler {
   ScanResult update_in_rect(const gfx::Framebuffer& fb, gfx::Rect r,
                             std::vector<gfx::Rgb888>& retained) const;
 
-  /// Compares the grid points inside `r` between two full frames (full-frame
-  /// retention mode); no early exit so `compared` is the exact covered count.
-  [[nodiscard]] ScanResult compare_in_rect(const gfx::Framebuffer& fb,
-                                           const gfx::Framebuffer& prev,
-                                           gfx::Rect r) const;
-
  private:
   gfx::Size screen_;
   GridSpec grid_;

@@ -120,9 +120,9 @@ struct FaultPlan {
   [[nodiscard]] static FaultPlan nominal();
 
   /// The characterized "nominal" pressure envelope (pressure classes only;
-  /// every link/sensor probability stays zero).  bench_pressure_envelope
-  /// sweeps multiples of this plan and the ladder must hold >= 95 % quality
-  /// at 1x.
+  /// every link/sensor probability stays zero).  bench_envelope's pressure
+  /// plane sweeps multiples of this plan and the ladder must hold >= 95 %
+  /// quality at 1x.
   [[nodiscard]] static FaultPlan pressure_nominal();
 
   /// This plan with every probability and episode rate multiplied by

@@ -516,35 +516,9 @@ TEST(Campaign, RunsToCompletionAndWritesArtifacts) {
 }
 
 TEST(Campaign, KilledWorkerResumesByteIdentically) {
-  testing::TempDir killed_dir, clean_dir;
-  ASSERT_TRUE(killed_dir.ok() && clean_dir.ok());
+  testing::TempDir clean_dir;
+  ASSERT_TRUE(clean_dir.ok());
   const CampaignSpec spec = tiny_spec();
-
-  // Arm 1: kill shard 1's worker after its first result, no retries -- the
-  // campaign must come back incomplete with shard 1 pending.
-  CampaignOptions opts;
-  opts.workers = 1;
-  opts.worker.threads = 1;
-  opts.worker.chunk = 1;
-  opts.worker.kill_after_runs = 1;
-  opts.kill_shard = 1;
-  opts.max_shard_retries = 0;
-  opts.isolate_crashes = false;
-  const CampaignResult interrupted = run_campaign(spec, killed_dir.path(), opts);
-  EXPECT_FALSE(interrupted.complete);
-  EXPECT_NE(interrupted.error.find("resume"), std::string::npos);
-  EXPECT_FALSE(
-      std::filesystem::exists(killed_dir.file(aggregates_file_name())));
-
-  // Arm 2: resume from the manifest; only shard 1 re-runs.
-  CampaignOptions resume_opts;
-  resume_opts.workers = 1;
-  resume_opts.worker.threads = 1;
-  resume_opts.resume = true;
-  const CampaignResult resumed =
-      run_campaign(spec, killed_dir.path(), resume_opts);
-  ASSERT_TRUE(resumed.complete) << resumed.error;
-  EXPECT_EQ(resumed.runs, spec.size());
 
   // Reference: the same campaign uninterrupted.
   CampaignOptions clean_opts;
@@ -553,11 +527,53 @@ TEST(Campaign, KilledWorkerResumesByteIdentically) {
   const CampaignResult clean = run_campaign(spec, clean_dir.path(), clean_opts);
   ASSERT_TRUE(clean.complete) << clean.error;
 
-  EXPECT_EQ(resumed.aggregates, clean.aggregates);
-  EXPECT_EQ(read_file(killed_dir.file(aggregates_file_name())),
-            read_file(clean_dir.file(aggregates_file_name())));
-  EXPECT_EQ(read_file(killed_dir.file(summary_file_name())),
-            read_file(clean_dir.file(summary_file_name())));
+  // One serial worker, then two workers running two fleet threads over
+  // two-run chunks, so the kill also lands among concurrent workers.
+  struct Shape {
+    int workers;
+    unsigned threads;
+    std::uint64_t chunk;
+  };
+  for (const Shape shape : {Shape{1, 1, 1}, Shape{2, 2, 2}}) {
+    SCOPED_TRACE(::testing::Message() << shape.workers << " workers, "
+                                      << shape.threads << " threads, chunk "
+                                      << shape.chunk);
+    testing::TempDir killed_dir;
+    ASSERT_TRUE(killed_dir.ok());
+
+    // Arm 1: kill shard 1's worker after its first result, no retries --
+    // the campaign must come back incomplete with shard 1 pending.
+    CampaignOptions opts;
+    opts.workers = shape.workers;
+    opts.worker.threads = shape.threads;
+    opts.worker.chunk = shape.chunk;
+    opts.worker.kill_after_runs = 1;
+    opts.kill_shard = 1;
+    opts.max_shard_retries = 0;
+    opts.isolate_crashes = false;
+    const CampaignResult interrupted =
+        run_campaign(spec, killed_dir.path(), opts);
+    EXPECT_FALSE(interrupted.complete);
+    EXPECT_NE(interrupted.error.find("resume"), std::string::npos);
+    EXPECT_FALSE(
+        std::filesystem::exists(killed_dir.file(aggregates_file_name())));
+
+    // Arm 2: resume from the manifest; only shard 1 re-runs.
+    CampaignOptions resume_opts;
+    resume_opts.workers = shape.workers;
+    resume_opts.worker.threads = shape.threads;
+    resume_opts.resume = true;
+    const CampaignResult resumed =
+        run_campaign(spec, killed_dir.path(), resume_opts);
+    ASSERT_TRUE(resumed.complete) << resumed.error;
+    EXPECT_EQ(resumed.runs, spec.size());
+
+    EXPECT_EQ(resumed.aggregates, clean.aggregates);
+    EXPECT_EQ(read_file(killed_dir.file(aggregates_file_name())),
+              read_file(clean_dir.file(aggregates_file_name())));
+    EXPECT_EQ(read_file(killed_dir.file(summary_file_name())),
+              read_file(clean_dir.file(summary_file_name())));
+  }
 }
 
 TEST(Campaign, ResumeRefusesADifferentMatrix) {

@@ -5,9 +5,9 @@
 // differs from the previous frame) makes grid points outside the damage
 // provably redundant to compare.  These tests drive randomized scenes and
 // damage patterns through paired meters -- one culled, one running the full
-// pre-culling scan -- across both retention modes and the paper's grid
-// sweep, and require bit-identical classifications, misclassification
-// counts, and a work ledger that accounts for every grid point.
+// pre-culling scan -- across the paper's grid sweep, and require
+// bit-identical classifications, misclassification counts, and a work
+// ledger that accounts for every grid point.
 #include <gtest/gtest.h>
 
 #include "apps/app_profiles.h"
@@ -21,7 +21,7 @@ namespace ccdem::core {
 namespace {
 
 // Large enough for the 144x256 grid; a quarter of the paper's 720x1280
-// panel keeps the full-frame mode's copies cheap.
+// panel keeps the paired meters' scans cheap.
 constexpr gfx::Size kScreen{360, 640};
 
 gfx::Rect random_rect_on_screen(sim::Rng& rng) {
@@ -71,8 +71,8 @@ struct MeterUnderTest {
   obs::ObsSink sink;
   ContentRateMeter meter;
 
-  MeterUnderTest(GridSpec grid, MeterMode mode, bool culling)
-      : meter(kScreen, grid, sim::seconds(1), mode) {
+  MeterUnderTest(GridSpec grid, bool culling)
+      : meter(kScreen, grid, sim::seconds(1)) {
     meter.set_damage_culling(culling);
     meter.set_obs(&sink);
   }
@@ -82,9 +82,9 @@ struct MeterUnderTest {
   }
 };
 
-void run_equivalence(GridSpec grid, MeterMode mode, std::uint64_t seed) {
-  MeterUnderTest culled(grid, mode, /*culling=*/true);
-  MeterUnderTest reference(grid, mode, /*culling=*/false);
+void run_equivalence(GridSpec grid, std::uint64_t seed) {
+  MeterUnderTest culled(grid, /*culling=*/true);
+  MeterUnderTest reference(grid, /*culling=*/false);
   ASSERT_TRUE(culled.meter.damage_culling());
   ASSERT_FALSE(reference.meter.damage_culling());
 
@@ -131,20 +131,12 @@ TEST(DamageCulling, SampledModeMatchesReferenceAcrossGrids) {
   for (const GridSpec grid :
        {GridSpec::grid_2k(), GridSpec::grid_4k(), GridSpec::grid_9k(),
         GridSpec::grid_36k()}) {
-    run_equivalence(grid, MeterMode::kSampledSnapshot, 1000 + grid.cols);
-  }
-}
-
-TEST(DamageCulling, FullFrameModeMatchesReferenceAcrossGrids) {
-  for (const GridSpec grid :
-       {GridSpec::grid_2k(), GridSpec::grid_4k(), GridSpec::grid_9k(),
-        GridSpec::grid_36k()}) {
-    run_equivalence(grid, MeterMode::kFullFrame, 2000 + grid.cols);
+    run_equivalence(grid, 1000 + grid.cols);
   }
 }
 
 TEST(DamageCulling, EmptyDamageTouchesNoPixels) {
-  MeterUnderTest m(GridSpec::grid_9k(), MeterMode::kSampledSnapshot, true);
+  MeterUnderTest m(GridSpec::grid_9k(), true);
   gfx::Framebuffer fb(kScreen, gfx::colors::kGray);
   gfx::FrameInfo info;
   info.seq = 1;
