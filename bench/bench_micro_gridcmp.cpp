@@ -1,8 +1,9 @@
 // Micro-benchmark (google-benchmark): raw cost of the grid comparison on
 // this host, for each of Fig. 6's grid configurations, of the row-span
-// compare/copy kernels, and of the per-call work a small-damage frame does
-// many times: a fill_span, a sprite's draw_circle, one game frame's Region
-// adds, and an index_range lookup.
+// compare/copy kernels, of sizing and filling a 720x1280 pixel buffer, and
+// of the per-call work a small-damage frame does many times: a fill_span,
+// a sprite's draw_circle, one game frame's Region adds, and an index_range
+// lookup.
 //
 // The absolute times on a desktop CPU are far below the Galaxy S3's (the
 // device-side curve lives in core::MeteringCostModel); what the grid cases
@@ -12,9 +13,12 @@
 // that end-to-end throughput cannot show.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/grid_sampler.h"
+#include "gfx/buffer_pool.h"
 #include "gfx/canvas.h"
 #include "gfx/compare.h"
 #include "gfx/framebuffer.h"
@@ -44,14 +48,16 @@ core::GridSpec spec_for(int idx) {
   return sweep[static_cast<std::size_t>(idx)];
 }
 
-/// Worst case for `differs`: identical frames force a full scan.
+/// Worst case for the unculled meter's full-grid pass
+/// (compare_and_refresh): identical frames force a compare of every point
+/// and refresh none.
 void BM_GridCompare_Identical(benchmark::State& state) {
   const core::GridSampler sampler(kScreen, spec_for(static_cast<int>(state.range(0))));
   const gfx::Framebuffer fb = make_noise_frame(1);
-  std::vector<gfx::Rgb888> prev;
+  gfx::PixelVector prev;
   sampler.sample(fb, prev);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.differs(fb, prev));
+    benchmark::DoNotOptimize(sampler.compare_and_refresh(fb, prev));
   }
   state.SetLabel(sampler.grid().label());
   state.counters["pixels"] =
@@ -59,15 +65,18 @@ void BM_GridCompare_Identical(benchmark::State& state) {
 }
 BENCHMARK(BM_GridCompare_Identical)->DenseRange(0, 4);
 
-/// Typical case: frames differ somewhere, allowing early exit.
+/// A meaningful frame: two noise frames alternate, so every pass stops at
+/// the first point and refreshes the rest of the grid.
 void BM_GridCompare_Different(benchmark::State& state) {
   const core::GridSampler sampler(kScreen, spec_for(static_cast<int>(state.range(0))));
-  const gfx::Framebuffer fb = make_noise_frame(1);
-  const gfx::Framebuffer fb2 = make_noise_frame(2);
-  std::vector<gfx::Rgb888> prev;
-  sampler.sample(fb2, prev);
+  const gfx::Framebuffer frames[] = {make_noise_frame(1), make_noise_frame(2)};
+  gfx::PixelVector prev;
+  sampler.sample(frames[1], prev);
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.differs(fb, prev));
+    benchmark::DoNotOptimize(sampler.compare_and_refresh(frames[next], prev));
+    benchmark::ClobberMemory();
+    next ^= 1;
   }
   state.SetLabel(sampler.grid().label());
 }
@@ -77,7 +86,7 @@ BENCHMARK(BM_GridCompare_Different)->DenseRange(0, 4);
 void BM_GridSample(benchmark::State& state) {
   const core::GridSampler sampler(kScreen, spec_for(static_cast<int>(state.range(0))));
   const gfx::Framebuffer fb = make_noise_frame(1);
-  std::vector<gfx::Rgb888> out;
+  gfx::PixelVector out;
   for (auto _ : state) {
     sampler.sample(fb, out);
     benchmark::DoNotOptimize(out.data());
@@ -85,6 +94,46 @@ void BM_GridSample(benchmark::State& state) {
   state.SetLabel(sampler.grid().label());
 }
 BENCHMARK(BM_GridSample)->DenseRange(0, 4);
+
+// --- sizing and filling a 720x1280 buffer ----------------------------------
+
+/// A fresh black screen-sized Framebuffer: allocate, size, fill, free.
+void BM_FreshFramebuffer(benchmark::State& state) {
+  for (auto _ : state) {
+    gfx::Framebuffer fb(kScreen);
+    benchmark::DoNotOptimize(fb.pixels().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FreshFramebuffer);
+
+/// A pooled acquire of a screen-sized black buffer, released again, so
+/// every acquire reuses the same storage at the same size.
+void BM_PoolAcquire(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(kScreen.width) * kScreen.height;
+  gfx::BufferPool pool;
+  pool.release(pool.acquire(n, gfx::colors::kBlack));
+  for (auto _ : state) {
+    gfx::PixelVector v = pool.acquire(n, gfx::colors::kBlack);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+    pool.release(std::move(v));
+  }
+}
+BENCHMARK(BM_PoolAcquire);
+
+/// The floor for both: one memset of the same 2,764,800 bytes.
+void BM_MemsetScreenBytes(benchmark::State& state) {
+  std::vector<unsigned char> bytes(
+      static_cast<std::size_t>(kScreen.width) * kScreen.height *
+      sizeof(gfx::Rgb888));
+  for (auto _ : state) {
+    std::memset(bytes.data(), 0, bytes.size());
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MemsetScreenBytes);
 
 // --- row-span kernels -------------------------------------------------------
 

@@ -10,19 +10,14 @@ ContentRateMeter::ContentRateMeter(gfx::Size screen, GridSpec grid,
     : sampler_(screen, grid), window_(window), pool_(pool) {
   assert(window.ticks > 0);
   if (pool_ != nullptr) {
-    // Pre-size the retained snapshot and the unculled path's scratch from
-    // the pool; the priming capture writes every element before any
-    // comparison reads them.
+    // Pre-size the retained snapshot from the pool; the priming capture
+    // writes every element before any comparison reads them.
     samples_ = pool_->acquire_reserved(sampler_.sample_count());
-    scratch_ = pool_->acquire_reserved(sampler_.sample_count());
   }
 }
 
 ContentRateMeter::~ContentRateMeter() {
-  if (pool_ != nullptr) {
-    pool_->release(std::move(samples_));
-    pool_->release(std::move(scratch_));
-  }
+  if (pool_ != nullptr) pool_->release(std::move(samples_));
 }
 
 void ContentRateMeter::set_obs(obs::ObsSink* obs) {
@@ -52,21 +47,12 @@ bool ContentRateMeter::classify_sampled(const gfx::Framebuffer& fb,
     return true;
   }
   if (!damage_culling_) {
-    // Reference path (pre-culling behaviour, bit-identical): full fresh
-    // capture, early-exit compare, then the capture becomes the retained
-    // snapshot.
-    sampler_.sample(fb, scratch_);
-    assert(scratch_.size() == samples_.size());
-    bool meaningful = false;
-    for (std::size_t i = 0; i < scratch_.size(); ++i) {
-      ++last_compared_;
-      if (scratch_[i] != samples_[i]) {
-        meaningful = true;
-        break;
-      }
-    }
-    std::swap(samples_, scratch_);
-    return meaningful;
+    // Reference path: the whole grid, compared up to the first difference
+    // and refreshed from there, so the snapshot equals a full capture.
+    const GridSampler::ScanResult res =
+        sampler_.compare_and_refresh(fb, samples_);
+    last_compared_ = res.compared;
+    return res.differed;
   }
   // Damage-scoped pass: grid points outside the damage cannot have changed
   // (the compositor wrote nothing outside it), so only covered points are

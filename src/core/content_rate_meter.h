@@ -22,7 +22,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
+#include <span>
 
 #include "core/grid_sampler.h"
 #include "core/metering_cost_model.h"
@@ -40,7 +40,7 @@ class SampleFault {
  public:
   virtual ~SampleFault() = default;
   virtual void corrupt_samples(sim::Time t,
-                               std::vector<gfx::Rgb888>& samples) = 0;
+                               std::span<gfx::Rgb888> samples) = 0;
 };
 
 class ContentRateMeter final : public gfx::FrameListener {
@@ -66,9 +66,10 @@ class ContentRateMeter final : public gfx::FrameListener {
   void set_sample_fault(SampleFault* fault) { sample_fault_ = fault; }
 
   /// When true (default), classification reads only the grid points inside
-  /// the frame's damage region; when false it rescans the full grid every
-  /// frame (the pre-culling reference path).  Verdicts are identical either
-  /// way -- the property tests assert it -- only the host work differs.
+  /// the frame's damage region; when false it compares the full grid every
+  /// frame (GridSampler::compare_and_refresh, the reference path).  Verdicts
+  /// are identical either way -- the property tests assert it -- only the
+  /// host work differs.
   void set_damage_culling(bool on) { damage_culling_ = on; }
   [[nodiscard]] bool damage_culling() const { return damage_culling_; }
 
@@ -125,12 +126,10 @@ class ContentRateMeter final : public gfx::FrameListener {
   sim::Duration window_;
   gfx::BufferPool* pool_ = nullptr;
   bool damage_culling_ = true;
-  /// The previous frame's grid samples.  Damage culling updates only the
-  /// covered points in place; the uncovered ones are already correct
-  /// because the frame cannot differ outside its damage.
-  std::vector<gfx::Rgb888> samples_;
-  /// Unculled path only: scratch for the full fresh capture.
-  std::vector<gfx::Rgb888> scratch_;
+  /// The previous frame's grid samples, refreshed in place.  Damage
+  /// culling updates only the covered points; the uncovered ones are
+  /// already correct because the frame cannot differ outside its damage.
+  gfx::PixelVector samples_;
   bool have_prev_ = false;
   SampleFault* sample_fault_ = nullptr;
 

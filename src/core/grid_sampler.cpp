@@ -1,6 +1,7 @@
 #include "core/grid_sampler.h"
 
 #include <cassert>
+#include <cstring>
 
 namespace ccdem::core {
 
@@ -64,18 +65,65 @@ GridSampler::GridSampler(gfx::Size screen, GridSpec grid)
   }
   col_at_x_ = count_below(center_xs_, screen.width);
   row_at_y_ = count_below(center_ys_, screen.height);
+  contiguous_rows_ = center_xs_.back() - center_xs_.front() + 1 == grid.cols;
+}
+
+const gfx::Rgb888* GridSampler::grid_row_pixels(const gfx::Rgb888* px,
+                                                std::size_t j) const {
+  const std::size_t row =
+      static_cast<std::size_t>(center_ys_[j]) * screen_.width;
+  return px + row +
+         (contiguous_rows_ ? static_cast<std::size_t>(center_xs_.front())
+                           : 0);
+}
+
+void GridSampler::capture_from(const gfx::Rgb888* px, std::size_t j,
+                               std::size_t i, gfx::Rgb888* retained) const {
+  // The column table is read through a local: pixel stores are byte
+  // stores, which may alias the vector's own pointer and would reload it
+  // for every point.
+  const int* xs = center_xs_.data();
+  const std::size_t cols = center_xs_.size();
+  for (const std::size_t rows = center_ys_.size(); j < rows; ++j, i = 0) {
+    const gfx::Rgb888* src = grid_row_pixels(px, j);
+    gfx::Rgb888* dst = retained + j * cols;
+    if (contiguous_rows_) {
+      std::memcpy(dst + i, src + i, (cols - i) * sizeof(gfx::Rgb888));
+    } else {
+      for (; i < cols; ++i) dst[i] = src[xs[i]];
+    }
+  }
 }
 
 void GridSampler::sample(const gfx::Framebuffer& fb,
-                         std::vector<gfx::Rgb888>& out) const {
+                         gfx::PixelVector& out) const {
   assert(fb.size() == screen_);
   out.resize(sample_count());
-  const auto px = fb.pixels();
-  std::size_t k = 0;
-  for (const int y : center_ys_) {
-    const std::size_t row = static_cast<std::size_t>(y) * screen_.width;
-    for (const int x : center_xs_) out[k++] = px[row + x];
+  capture_from(fb.pixels().data(), 0, 0, out.data());
+}
+
+GridSampler::ScanResult GridSampler::compare_and_refresh(
+    const gfx::Framebuffer& fb, gfx::PixelVector& retained) const {
+  assert(fb.size() == screen_);
+  assert(retained.size() == sample_count());
+  const gfx::Rgb888* px = fb.pixels().data();
+  const std::size_t cols = center_xs_.size();
+  for (std::size_t j = 0; j < center_ys_.size(); ++j) {
+    const gfx::Rgb888* src = grid_row_pixels(px, j);
+    const gfx::Rgb888* old = retained.data() + j * cols;
+    std::size_t i = 0;
+    if (contiguous_rows_) {
+      if (std::memcmp(src, old, cols * sizeof(gfx::Rgb888)) == 0) continue;
+      while (src[i] == old[i]) ++i;
+    } else {
+      while (i < cols && src[center_xs_[i]] == old[i]) ++i;
+      if (i == cols) continue;
+    }
+    // Point (j, i) is the first difference; everything before it matches.
+    capture_from(px, j, i, retained.data());
+    return {static_cast<std::int64_t>(j * cols + i) + 1, true};
   }
+  return {static_cast<std::int64_t>(sample_count()), false};
 }
 
 GridSampler::IndexRange GridSampler::index_range(gfx::Rect r) const {
@@ -90,7 +138,7 @@ GridSampler::IndexRange GridSampler::index_range(gfx::Rect r) const {
 
 GridSampler::ScanResult GridSampler::update_in_rect(
     const gfx::Framebuffer& fb, gfx::Rect r,
-    std::vector<gfx::Rgb888>& retained) const {
+    gfx::PixelVector& retained) const {
   assert(fb.size() == screen_);
   assert(retained.size() == sample_count());
   const IndexRange range = index_range(r);
@@ -114,21 +162,6 @@ GridSampler::ScanResult GridSampler::update_in_rect(
   }
   result.compared = range.count();
   return result;
-}
-
-bool GridSampler::differs(const gfx::Framebuffer& fb,
-                          const std::vector<gfx::Rgb888>& prev) const {
-  assert(fb.size() == screen_);
-  assert(prev.size() == sample_count());
-  const auto px = fb.pixels();
-  std::size_t k = 0;
-  for (const int y : center_ys_) {
-    const std::size_t row = static_cast<std::size_t>(y) * screen_.width;
-    for (const int x : center_xs_) {
-      if (px[row + x] != prev[k++]) return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace ccdem::core

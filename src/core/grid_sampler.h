@@ -66,14 +66,7 @@ class GridSampler {
 
   /// Extracts the grid samples from `fb` into `out` (resized as needed).
   /// `fb` must match the screen size the sampler was built for.
-  void sample(const gfx::Framebuffer& fb, std::vector<gfx::Rgb888>& out) const;
-
-  /// Compares `fb`'s current grid samples against `prev` without extracting.
-  /// Returns true on the first differing sample (early exit -- the common
-  /// fast path for meaningful frames).  `prev.size()` must equal
-  /// sample_count().
-  [[nodiscard]] bool differs(const gfx::Framebuffer& fb,
-                             const std::vector<gfx::Rgb888>& prev) const;
+  void sample(const gfx::Framebuffer& fb, gfx::PixelVector& out) const;
 
   /// The half-open ranges of grid columns and rows whose cell-centre pixel
   /// lies inside `r`.  Cell centres are monotonic in the cell index, so a
@@ -97,7 +90,7 @@ class GridSampler {
   };
   [[nodiscard]] IndexRange index_range(gfx::Rect r) const;
 
-  /// Outcome of a damage-scoped pass: how many grid points were read and
+  /// Outcome of a pass over the grid: how many grid points were read and
   /// whether any of them differed from the retained value.
   struct ScanResult {
     std::int64_t compared = 0;
@@ -109,7 +102,16 @@ class GridSampler {
   /// fresh value back -- damage-scoped retention update and classification
   /// in one pass.  `retained.size()` must equal sample_count().
   ScanResult update_in_rect(const gfx::Framebuffer& fb, gfx::Rect r,
-                            std::vector<gfx::Rgb888>& retained) const;
+                            gfx::PixelVector& retained) const;
+
+  /// The full-grid pass (the unculled meter's reference): compares `fb`'s
+  /// grid points with `retained` in row-major order up to the first
+  /// difference, then refreshes `retained` from that point on.  The points
+  /// before it already match, so `retained` ends equal to a full capture.
+  /// `compared` is the first differing index + 1, or sample_count() when
+  /// nothing differs.  `retained.size()` must equal sample_count().
+  ScanResult compare_and_refresh(const gfx::Framebuffer& fb,
+                                 gfx::PixelVector& retained) const;
 
  private:
   gfx::Size screen_;
@@ -121,6 +123,20 @@ class GridSampler {
   // row_at_y_ is the same for rows over [0, H].
   std::vector<int> col_at_x_;
   std::vector<int> row_at_y_;
+  // True when the column centres are consecutive pixels (the 921K grid): a
+  // grid row is then one span of its framebuffer row, compared and copied
+  // with memcmp/memcpy instead of a per-point gather.
+  bool contiguous_rows_ = false;
+
+  /// First pixel of grid row `j`'s centres in `px`, the framebuffer's
+  /// storage: the first centre itself for contiguous rows, else the start
+  /// of the framebuffer row (the gather adds center_xs_[i]).
+  [[nodiscard]] const gfx::Rgb888* grid_row_pixels(const gfx::Rgb888* px,
+                                                   std::size_t j) const;
+  /// Copies grid points (j, i) .. the last point into `retained`, in
+  /// row-major order: the tail of row j from column i, then whole rows.
+  void capture_from(const gfx::Rgb888* px, std::size_t j, std::size_t i,
+                    gfx::Rgb888* retained) const;
 };
 
 }  // namespace ccdem::core

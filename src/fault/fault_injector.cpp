@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <vector>
 
 namespace ccdem::fault {
 namespace {
@@ -290,7 +291,7 @@ input::InputFaultHook::Verdict FaultInjector::on_event(
 }
 
 void FaultInjector::corrupt_samples(sim::Time t,
-                                    std::vector<gfx::Rgb888>& samples) {
+                                    std::span<gfx::Rgb888> samples) {
   if (samples.empty() || !plan_.active(t)) return;
   if (!meter_rng_.chance(plan_.meter_bitflip_p)) return;
   bump(meter_bitflips_, ctr_meter_bitflips_);

@@ -20,7 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "core/content_rate_meter.h"
 #include "core/control_config.h"
@@ -72,7 +72,7 @@ class FaultInjector final : public display::SwitchInterceptor,
 
   // --- core::SampleFault ---------------------------------------------------
   void corrupt_samples(sim::Time t,
-                       std::vector<gfx::Rgb888>& samples) override;
+                       std::span<gfx::Rgb888> samples) override;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   /// True while a stuck-at-rate episode is live at `t`.

@@ -4,12 +4,12 @@
 
 namespace ccdem::gfx {
 
-std::vector<Rgb888> BufferPool::take(std::size_t n) {
+PixelVector BufferPool::take(std::size_t n) {
   ++acquires_;
   for (std::size_t i = 0; i < free_.size(); ++i) {
     if (free_[i].capacity() >= n) {
       ++reuses_;
-      std::vector<Rgb888> v = std::move(free_[i]);
+      PixelVector v = std::move(free_[i]);
       free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(i));
       return v;
     }
@@ -17,31 +17,27 @@ std::vector<Rgb888> BufferPool::take(std::size_t n) {
   if (!free_.empty()) {
     // Undersized storage: reuse the vector object but count the inevitable
     // regrowth as an allocation.
-    std::vector<Rgb888> v = std::move(free_.back());
+    PixelVector v = std::move(free_.back());
     free_.pop_back();
     return v;
   }
   return {};
 }
 
-std::vector<Rgb888> BufferPool::acquire(std::size_t n, Rgb888 fill) {
-  std::vector<Rgb888> v = take(n);
-  // resize()'s value-initialisation is a memset; a non-black fill then
-  // overwrites at copy bandwidth.  assign(n, fill) looped per 3-byte pixel.
-  v.clear();
-  v.resize(n);
-  if (!(fill == Rgb888{})) fill_span(v.data(), n, fill);
+PixelVector BufferPool::acquire(std::size_t n, Rgb888 fill) {
+  PixelVector v = take(n);
+  assign_pixels(v, n, fill);
   return v;
 }
 
-std::vector<Rgb888> BufferPool::acquire_reserved(std::size_t n) {
-  std::vector<Rgb888> v = take(n);
+PixelVector BufferPool::acquire_reserved(std::size_t n) {
+  PixelVector v = take(n);
   v.clear();
   v.reserve(n);
   return v;
 }
 
-void BufferPool::release(std::vector<Rgb888>&& v) {
+void BufferPool::release(PixelVector&& v) {
   if (v.capacity() == 0 || free_.size() >= max_free_) return;
   free_.push_back(std::move(v));
 }

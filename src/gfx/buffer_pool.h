@@ -5,9 +5,10 @@
 // re-create the whole device for every config, so without recycling each of
 // the 90 runs behind Fig. 9 pays those allocations again.  The pool keeps
 // released storage on a bounded free list and hands it back on the next
-// acquire; contents are always re-initialised by the caller (acquire() fills,
-// acquire_reserved() returns an empty vector), so pooled and fresh buffers
-// are indistinguishable and results stay bit-identical.
+// acquire; contents are always re-initialised (acquire() fills every pixel
+// with one fill_span, acquire_reserved() returns an empty vector), so
+// pooled and fresh buffers are indistinguishable and results stay
+// bit-identical.
 //
 // NOT thread-safe by design: each fleet worker owns its own pool (and its
 // own device), so no synchronisation is needed on the hot path.
@@ -31,14 +32,14 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Returns a buffer of exactly `n` pixels, every element set to `fill`.
-  [[nodiscard]] std::vector<Rgb888> acquire(std::size_t n, Rgb888 fill);
+  [[nodiscard]] PixelVector acquire(std::size_t n, Rgb888 fill);
 
   /// Returns an *empty* buffer with capacity >= `n`; the caller must write
   /// every element before reading (GridSampler::sample does).
-  [[nodiscard]] std::vector<Rgb888> acquire_reserved(std::size_t n);
+  [[nodiscard]] PixelVector acquire_reserved(std::size_t n);
 
   /// Returns storage to the free list (or frees it if the list is full).
-  void release(std::vector<Rgb888>&& v);
+  void release(PixelVector&& v);
 
   /// Lifetime counters.  reuses() is the number of heap allocations avoided:
   /// acquires served from the free list with sufficient capacity.
@@ -54,9 +55,9 @@ class BufferPool {
  private:
   /// Pops the first free buffer whose capacity covers `n` (counted as a
   /// reuse); falls back to any free buffer (it will grow) or a fresh one.
-  [[nodiscard]] std::vector<Rgb888> take(std::size_t n);
+  [[nodiscard]] PixelVector take(std::size_t n);
 
-  std::vector<std::vector<Rgb888>> free_;
+  std::vector<PixelVector> free_;
   std::size_t max_free_;
   std::uint64_t acquires_ = 0;
   std::uint64_t reuses_ = 0;

@@ -14,15 +14,6 @@ namespace ccdem::gfx {
 
 namespace {
 
-/// Sized fill at copy bandwidth (resize value-initialisation compiles to a
-/// memset; a non-black fill then overwrites via fill_span).  The element
-/// loop this replaces dominated device construction cost.
-void fill_pixels(std::vector<Rgb888>& v, std::size_t n, Rgb888 fill) {
-  v.clear();
-  v.resize(n);
-  if (!(fill == Rgb888{})) fill_span(v.data(), n, fill);
-}
-
 std::uint64_t row_hash(const Framebuffer& fb, int y) {
   const std::span<const Rgb888> row = fb.row(y);
   return hash_bytes(row.data(), row.size_bytes());
@@ -49,7 +40,7 @@ std::uint64_t fold_rows(int n, RowFn row) {
 Framebuffer::Framebuffer(int width, int height, Rgb888 fill)
     : width_(width), height_(height) {
   assert(width >= 0 && height >= 0);
-  fill_pixels(pixels_, static_cast<std::size_t>(width) * height, fill);
+  assign_pixels(pixels_, static_cast<std::size_t>(width) * height, fill);
 }
 
 Framebuffer::Framebuffer(int width, int height, BufferPool* pool, Rgb888 fill)
@@ -59,7 +50,7 @@ Framebuffer::Framebuffer(int width, int height, BufferPool* pool, Rgb888 fill)
   if (pool_ != nullptr) {
     pixels_ = pool_->acquire(n, fill);
   } else {
-    fill_pixels(pixels_, n, fill);
+    assign_pixels(pixels_, n, fill);
   }
 }
 

@@ -106,7 +106,7 @@ class Framebuffer {
  private:
   int width_ = 0;
   int height_ = 0;
-  std::vector<Rgb888> pixels_;
+  PixelVector pixels_;
   BufferPool* pool_ = nullptr;  ///< storage owner on destruction, if any
 };
 

@@ -8,6 +8,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace ccdem::gfx {
 
@@ -88,6 +93,60 @@ inline void fill_span(Rgb888* p, std::size_t n, Rgb888 c) {
   // whole number of pixels, so it lands in phase.
   put24(out + bytes - 48);
   put24(out + bytes - 24);
+}
+
+/// Allocator of pixel storage whose size changes touch no pixel.
+///
+/// std::vector<Rgb888>::resize value-initialises each new pixel with two
+/// stores (a 2-byte and a 1-byte one), and without Rgb888's member
+/// initialisers GCC emits a per-pixel copy loop instead: either way 4-5x
+/// the time of a memset on a 720x1280 buffer.  Here value-less construction
+/// and destruction do nothing.  Rgb888 is an aggregate of three bytes, so
+/// it is an implicit-lifetime type: the storage operator new returns
+/// already holds its objects, and a trivial destructor needs no call.
+/// Every owner writes what it sizes before reading it (assign_pixels, the
+/// grid sampler's capture).
+template <typename T>
+struct PixelAllocator {
+  static_assert(std::is_aggregate_v<T> && std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+  using value_type = T;
+
+  PixelAllocator() = default;
+  template <typename U>
+  constexpr PixelAllocator(const PixelAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return std::allocator<T>{}.allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    std::allocator<T>{}.deallocate(p, n);
+  }
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  template <typename U>
+  void destroy(U*) noexcept {}
+
+  friend constexpr bool operator==(const PixelAllocator&,
+                                   const PixelAllocator&) noexcept {
+    return true;
+  }
+};
+
+/// Pixel storage: framebuffers, pooled buffers and grid-sample snapshots.
+using PixelVector = std::vector<Rgb888, PixelAllocator<Rgb888>>;
+
+/// Makes `v` exactly `n` pixels of `c`, writing each byte once: the resize
+/// stores nothing and fill_span is one memset for grey.  Nothing old is
+/// copied when the storage must grow, since `v` is emptied first.
+inline void assign_pixels(PixelVector& v, std::size_t n, Rgb888 c) {
+  v.clear();
+  v.resize(n);
+  fill_span(v.data(), n, c);
 }
 
 namespace colors {

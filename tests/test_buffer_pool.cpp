@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "gfx/framebuffer.h"
 
 namespace ccdem::gfx {
@@ -30,14 +33,36 @@ TEST(BufferPool, ReleaseThenAcquireReuses) {
 }
 
 TEST(BufferPool, ReusedBufferIsFullyReinitialised) {
-  BufferPool pool;
-  auto v = pool.acquire(8, colors::kWhite);
-  v[3] = Rgb888{1, 2, 3};
-  pool.release(std::move(v));
-
-  const auto w = pool.acquire(8, colors::kBlack);
-  ASSERT_EQ(w.size(), 8u);
-  for (const Rgb888& px : w) EXPECT_EQ(px, colors::kBlack);
+  // acquire() sizes reused storage without touching its pixels and then
+  // fills it, so nothing a previous owner wrote may survive.  Each step
+  // acquires at a new size -- the same, smaller, larger within the old
+  // capacity, and beyond it -- checks every pixel, scribbles non-fill
+  // pixels over the whole buffer and releases it.  Grey fills take
+  // fill_span's memset, the others its pattern stores.
+  const Rgb888 fills[] = {colors::kBlack, colors::kWhite, colors::kGray,
+                          colors::kRed, Rgb888{1, 2, 3}};
+  const std::size_t sizes[] = {64, 64, 40, 64, 100, 7, 100};
+  for (std::size_t f = 0; f < std::size(fills); ++f) {
+    BufferPool pool;
+    for (std::size_t step = 0; step < std::size(sizes); ++step) {
+      const std::size_t n = sizes[step];
+      const Rgb888 fill = fills[(f + step) % std::size(fills)];
+      auto v = pool.acquire(n, fill);
+      ASSERT_EQ(v.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(v[i], fill) << "fill " << f << " step " << step
+                              << " pixel " << i;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = Rgb888{static_cast<std::uint8_t>(~fill.r),
+                      static_cast<std::uint8_t>(i),
+                      static_cast<std::uint8_t>(i * 7)};
+      }
+      pool.release(std::move(v));
+    }
+    EXPECT_EQ(pool.acquires(), std::size(sizes));
+    EXPECT_GT(pool.reuses(), 0u);
+  }
 }
 
 TEST(BufferPool, PrefersBufferWithSufficientCapacity) {

@@ -43,7 +43,7 @@ TEST(GridSampler, FullResolutionSamplesEveryPixel) {
   // catches any load past its end).
   gfx::Framebuffer fb(small);
   fb.set(7, 7, gfx::colors::kRed);
-  std::vector<gfx::Rgb888> out;
+  gfx::PixelVector out;
   s.sample(fb, out);
   ASSERT_EQ(out.size(), 64u);
   EXPECT_EQ(out[63], gfx::colors::kRed);
@@ -63,43 +63,47 @@ TEST(GridSampler, SampleExtractsPixels) {
   gfx::Framebuffer fb(100, 100, gfx::colors::kBlack);
   fb.set(5, 5, gfx::colors::kRed);
   const GridSampler s(fb.size(), GridSpec{10, 10});
-  std::vector<gfx::Rgb888> out;
+  gfx::PixelVector out;
   s.sample(fb, out);
   ASSERT_EQ(out.size(), 100u);
   EXPECT_EQ(out[0], gfx::colors::kRed);
   EXPECT_EQ(out[1], gfx::colors::kBlack);
 }
 
-TEST(GridSampler, DiffersDetectsSampledChange) {
+TEST(GridSampler, CompareAndRefreshDetectsSampledChange) {
   gfx::Framebuffer fb(100, 100);
   const GridSampler s(fb.size(), GridSpec{10, 10});
-  std::vector<gfx::Rgb888> prev;
+  gfx::PixelVector prev;
   s.sample(fb, prev);
-  EXPECT_FALSE(s.differs(fb, prev));
-  fb.set(5, 5, gfx::colors::kRed);  // a sampled pixel
-  EXPECT_TRUE(s.differs(fb, prev));
+  EXPECT_FALSE(s.compare_and_refresh(fb, prev).differed);
+  fb.set(5, 5, gfx::colors::kRed);  // a sampled pixel: grid point 0
+  const GridSampler::ScanResult res = s.compare_and_refresh(fb, prev);
+  EXPECT_TRUE(res.differed);
+  EXPECT_EQ(res.compared, 1);
+  EXPECT_EQ(prev[0], gfx::colors::kRed);  // refreshed
+  EXPECT_FALSE(s.compare_and_refresh(fb, prev).differed);
 }
 
 TEST(GridSampler, MissesChangeBetweenSamplePoints) {
   gfx::Framebuffer fb(100, 100);
   const GridSampler s(fb.size(), GridSpec{10, 10});
-  std::vector<gfx::Rgb888> prev;
+  gfx::PixelVector prev;
   s.sample(fb, prev);
   fb.set(0, 0, gfx::colors::kRed);  // (0,0) is not a sampled centre
-  EXPECT_FALSE(s.differs(fb, prev));
+  EXPECT_FALSE(s.compare_and_refresh(fb, prev).differed);
 }
 
 TEST(GridSampler, DenseGridCatchesWhatSparseMisses) {
   gfx::Framebuffer fb(720, 1280);
   const GridSampler sparse(fb.size(), GridSpec::grid_2k());
   const GridSampler dense(fb.size(), GridSpec::full_720p());
-  std::vector<gfx::Rgb888> prev_sparse, prev_dense;
+  gfx::PixelVector prev_sparse, prev_dense;
   sparse.sample(fb, prev_sparse);
   dense.sample(fb, prev_dense);
   // A 3x3 blob positioned to dodge the sparse grid's 20x20 cells.
   fb.fill_rect(gfx::Rect{0, 0, 3, 3}, gfx::colors::kWhite);
-  EXPECT_FALSE(sparse.differs(fb, prev_sparse));
-  EXPECT_TRUE(dense.differs(fb, prev_dense));
+  EXPECT_FALSE(sparse.compare_and_refresh(fb, prev_sparse).differed);
+  EXPECT_TRUE(dense.compare_and_refresh(fb, prev_dense).differed);
 }
 
 }  // namespace

@@ -343,7 +343,7 @@ TEST(TraceExport, GaugeDoublesRoundTripExactly) {
   const auto snap = c.snapshot();
 
   std::string error;
-  for (const std::string text :
+  for (const std::string& text :
        {obs::chrome_trace_to_string({}, snap),
         obs::trace_csv_to_string({}, snap)}) {
     const auto parsed = text[0] == '{' ? obs::parse_chrome_trace(text, &error)

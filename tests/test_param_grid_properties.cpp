@@ -50,28 +50,146 @@ TEST_P(GridProperty, SelfComparisonNeverDiffers) {
            static_cast<int>(rng.uniform_int(0, kScreen.height - 1)),
            gfx::Rgb888::from_packed(static_cast<std::uint32_t>(rng.next_u64())));
   }
-  std::vector<gfx::Rgb888> snap;
+  gfx::PixelVector snap;
   s.sample(fb, snap);
-  EXPECT_FALSE(s.differs(fb, snap));
+  const GridSampler::ScanResult res = s.compare_and_refresh(fb, snap);
+  EXPECT_FALSE(res.differed);
+  EXPECT_EQ(res.compared, static_cast<std::int64_t>(s.sample_count()));
 }
 
 TEST_P(GridProperty, EverySampledPixelChangeIsDetected) {
   const GridSampler s(kScreen, grid());
   gfx::Framebuffer fb(kScreen);
-  std::vector<gfx::Rgb888> snap;
+  gfx::PixelVector snap;
   s.sample(fb, snap);
   sim::Rng rng(4);
-  // Flip 32 randomly chosen sample points, one at a time.
+  // Flip 32 randomly chosen sample points, one at a time.  The pass stops
+  // at the flipped point and refreshes the snapshot, so restoring the pixel
+  // is a difference at the same point, after which the grid agrees again.
   for (int i = 0; i < 32; ++i) {
     const auto k = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(s.sample_count()) - 1));
     const gfx::Point p = s.point(k);
     const gfx::Rgb888 old = fb.at(p.x, p.y);
-    fb.set(p.x, p.y, gfx::Rgb888{static_cast<std::uint8_t>(old.r + 1),
-                                 old.g, old.b});
-    EXPECT_TRUE(s.differs(fb, snap)) << "sample " << k;
+    const gfx::Rgb888 flipped{static_cast<std::uint8_t>(old.r + 1), old.g,
+                              old.b};
+    fb.set(p.x, p.y, flipped);
+    GridSampler::ScanResult res = s.compare_and_refresh(fb, snap);
+    EXPECT_TRUE(res.differed) << "sample " << k;
+    EXPECT_EQ(res.compared, static_cast<std::int64_t>(k) + 1);
+    EXPECT_EQ(snap[k], flipped);
     fb.set(p.x, p.y, old);
-    EXPECT_FALSE(s.differs(fb, snap));
+    res = s.compare_and_refresh(fb, snap);
+    EXPECT_TRUE(res.differed) << "sample " << k;
+    EXPECT_EQ(res.compared, static_cast<std::int64_t>(k) + 1);
+    EXPECT_FALSE(s.compare_and_refresh(fb, snap).differed);
+  }
+}
+
+/// The unculled meter step before compare_and_refresh, kept as its oracle:
+/// a full capture (gathered point by point here), an early-exit compare,
+/// then the capture becomes the snapshot.
+GridSampler::ScanResult capture_compare_swap(const GridSampler& s,
+                                             const gfx::Framebuffer& fb,
+                                             gfx::PixelVector& snap) {
+  gfx::PixelVector fresh(s.sample_count());
+  for (std::size_t k = 0; k < fresh.size(); ++k) {
+    const gfx::Point p = s.point(k);
+    fresh[k] = fb.at(p.x, p.y);
+  }
+  GridSampler::ScanResult res;
+  for (std::size_t k = 0; k < fresh.size(); ++k) {
+    ++res.compared;
+    if (fresh[k] != snap[k]) {
+      res.differed = true;
+      break;
+    }
+  }
+  std::swap(snap, fresh);
+  return res;
+}
+
+/// Flips one bit of one channel of one random sample, as
+/// FaultInjector::corrupt_samples does.
+void flip_random_bit(gfx::PixelVector& snap, sim::Rng& rng) {
+  const auto k = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(snap.size()) - 1));
+  const auto bit = static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+  switch (rng.uniform_int(0, 2)) {
+    case 0: snap[k].r ^= bit; break;
+    case 1: snap[k].g ^= bit; break;
+    default: snap[k].b ^= bit; break;
+  }
+}
+
+TEST_P(GridProperty, CompareAndRefreshMatchesCaptureCompareSwap) {
+  const GridSampler s(kScreen, grid());
+  const auto n = static_cast<std::int64_t>(s.sample_count());
+  const int cols = grid().cols;
+  gfx::Framebuffer fb(kScreen);
+  sim::Rng rng(6);
+  for (int y = 0; y < kScreen.height; ++y) {
+    for (gfx::Rgb888& px : fb.row(y)) {
+      px = gfx::Rgb888::from_packed(static_cast<std::uint32_t>(rng.next_u64()));
+    }
+  }
+  gfx::PixelVector snap;
+  s.sample(fb, snap);
+
+  // Runs both passes from the same snapshot and requires the same verdict,
+  // compared count and refreshed snapshot; the snapshot then carries on.
+  const auto check = [&](const char* what, std::int64_t want_compared) {
+    gfx::PixelVector want = snap;
+    const GridSampler::ScanResult ref = capture_compare_swap(s, fb, want);
+    const GridSampler::ScanResult got = s.compare_and_refresh(fb, snap);
+    EXPECT_EQ(got.differed, ref.differed) << what;
+    EXPECT_EQ(got.compared, ref.compared) << what;
+    EXPECT_EQ(got.compared, want_compared) << what;
+    EXPECT_TRUE(snap == want) << what;
+  };
+  // Changes the frame at grid point k.
+  const auto change_point = [&](std::int64_t k) {
+    const gfx::Point p = s.point(static_cast<std::size_t>(k));
+    const gfx::Rgb888 c = fb.at(p.x, p.y);
+    fb.set(p.x, p.y, gfx::Rgb888{c.r, c.g, static_cast<std::uint8_t>(c.b ^ 1)});
+  };
+
+  check("identical frame", n);
+  change_point(0);
+  check("first point", 1);
+  const std::int64_t mid = (n / cols / 2) * cols + cols / 2;
+  change_point(mid);
+  check("mid-row point", mid + 1);
+  change_point(n - 1);
+  check("last point", n);
+  // A frame that differs in a later row as well: the first point decides
+  // the count, and every later point is still refreshed.
+  change_point(mid);
+  change_point(n - 1);
+  fb.fill_rect(gfx::Rect{0, kScreen.height - 40, kScreen.width, 40},
+               gfx::colors::kYellow);
+  check("mid-row and bottom band", mid + 1);
+  check("settled", n);
+
+  // Retained snapshots with bit flips, over frames that change in random
+  // small rects or not at all.
+  for (int step = 0; step < 24; ++step) {
+    const int flips = static_cast<int>(rng.uniform_int(0, 3));
+    for (int f = 0; f < flips; ++f) flip_random_bit(snap, rng);
+    if (rng.chance(0.5)) {
+      fb.fill_rect(
+          gfx::Rect{static_cast<int>(rng.uniform_int(0, kScreen.width - 1)),
+                    static_cast<int>(rng.uniform_int(0, kScreen.height - 1)),
+                    static_cast<int>(rng.uniform_int(1, 64)),
+                    static_cast<int>(rng.uniform_int(1, 64))},
+          gfx::Rgb888::from_packed(static_cast<std::uint32_t>(rng.next_u64())));
+    }
+    gfx::PixelVector want = snap;
+    const GridSampler::ScanResult ref = capture_compare_swap(s, fb, want);
+    const GridSampler::ScanResult got = s.compare_and_refresh(fb, snap);
+    ASSERT_EQ(got.differed, ref.differed) << "step " << step;
+    ASSERT_EQ(got.compared, ref.compared) << "step " << step;
+    ASSERT_TRUE(snap == want) << "step " << step;
   }
 }
 
@@ -84,7 +202,7 @@ TEST_P(GridProperty, SampleExtractionRoundTrips) {
            static_cast<int>(rng.uniform_int(0, kScreen.height - 1)),
            gfx::colors::kRed);
   }
-  std::vector<gfx::Rgb888> snap;
+  gfx::PixelVector snap;
   s.sample(fb, snap);
   ASSERT_EQ(snap.size(), s.sample_count());
   for (std::size_t k = 0; k < snap.size(); ++k) {
