@@ -25,24 +25,18 @@ struct OledRun {
 
 OledRun run_oled(const apps::AppSpec& app, bool controlled, int seconds,
                  std::uint64_t seed) {
-  device::DeviceConfig dc;
-  dc.mode = controlled ? device::ControlMode::kSectionWithBoost
-                       : device::ControlMode::kBaseline60;
-  dc.seed = seed;
-  dc.power.panel_static_mw = 0.0;  // replaced by the emission model
-  dc.oled = power::OledParams::galaxy_s3_amoled();
+  harness::ExperimentConfig cfg = bench::make_config(
+      app,
+      controlled ? harness::ControlMode::kSectionWithBoost
+                 : harness::ControlMode::kBaseline60,
+      seconds, seed);
+  cfg.power.panel_static_mw = 0.0;  // replaced by the emission model
+  cfg.oled = power::OledParams::galaxy_s3_amoled();
 
   device::SimulatedDevice dev;
-  dev.configure(dc);
-  dev.install_app(app);
-  dev.start_control();
-  dev.schedule_monkey_script(app.monkey, sim::seconds(seconds));
-  dev.run_for(sim::seconds(seconds));
-  dev.finish();
-
-  return OledRun{dev.meter()->mean_power_mw(),
-                 dev.oled_model()->current_luma(),
-                 dev.flinger().content_frames()};
+  const harness::ExperimentResult r = harness::run_experiment_on(dev, cfg);
+  return OledRun{r.mean_power_mw, dev.oled_model()->current_luma(),
+                 r.content_frames};
 }
 
 }  // namespace

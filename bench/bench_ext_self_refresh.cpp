@@ -24,22 +24,16 @@ struct PsrRun {
 
 PsrRun run_one(const apps::AppSpec& app, bool with_psr, int seconds,
                std::uint64_t seed) {
-  device::DeviceConfig dc;
-  dc.mode = device::ControlMode::kSectionWithBoost;
-  dc.seed = seed;
-  dc.power = power::DevicePowerParams::galaxy_s3_with_psr_link();
-  if (with_psr) dc.self_refresh = core::SelfRefreshConfig{};
+  harness::ExperimentConfig cfg = bench::make_config(
+      app, harness::ControlMode::kSectionWithBoost, seconds, seed);
+  cfg.power = power::DevicePowerParams::galaxy_s3_with_psr_link();
+  if (with_psr) cfg.self_refresh = core::SelfRefreshConfig{};
 
   device::SimulatedDevice dev;
-  dev.configure(dc);
-  dev.install_app(app);
-  dev.start_control();
-  dev.schedule_monkey_script(app.monkey, sim::seconds(seconds));
-  dev.run_for(sim::seconds(seconds));
-  dev.finish();
+  const harness::ExperimentResult res = harness::run_experiment_on(dev, cfg);
 
   PsrRun r;
-  r.mean_power_mw = dev.meter()->mean_power_mw();
+  r.mean_power_mw = res.mean_power_mw;
   if (core::SelfRefreshController* psr = dev.psr()) {
     r.residency_pct = psr->time_in_self_refresh(dev.sim().now()).seconds() /
                       static_cast<double>(seconds) * 100.0;

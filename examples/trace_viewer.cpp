@@ -6,7 +6,9 @@
 //
 // Defaults: configs/jelly_splash.conf and "trace" (writes trace.json +
 // trace.csv).  Both outputs are re-parsed after writing, so a zero exit
-// status certifies they are well-formed round-trippable trace files.
+// status certifies they are well-formed round-trippable trace files.  Any
+// ccdem-repro-v1 file works as the config, including one campaign run
+// printed by `campaign_report repro <spec> <index>`.
 #include <fstream>
 #include <iostream>
 #include <sstream>

@@ -94,38 +94,6 @@ CountersRecord decode_counters(PayloadReader& r) {
   return out;
 }
 
-void encode_payload(const SpansRecord& r, PayloadWriter& w) {
-  w.put_u32(static_cast<std::uint32_t>(r.spans.size()));
-  for (const obs::Span& s : r.spans) {
-    w.put_i64(s.begin.ticks);
-    w.put_i64(s.dur.ticks);
-    w.put_u64(s.frame);
-    w.put_i64(s.arg);
-    w.put_u8(static_cast<std::uint8_t>(s.phase));
-  }
-}
-
-SpansRecord decode_spans(PayloadReader& r) {
-  SpansRecord out;
-  const std::uint32_t n = r.get_count();
-  out.spans.reserve(r.ok() ? n : 0);
-  for (std::uint32_t i = 0; r.ok() && i < n; ++i) {
-    obs::Span s;
-    s.begin = sim::Time{r.get_i64()};
-    s.dur = sim::Duration{r.get_i64()};
-    s.frame = r.get_u64();
-    s.arg = r.get_i64();
-    const std::uint8_t phase = r.get_u8();
-    if (r.ok() && phase >= obs::kPhaseCount) {
-      r.fail("span phase out of range");
-      break;
-    }
-    s.phase = static_cast<obs::Phase>(phase);
-    out.spans.push_back(s);
-  }
-  return out;
-}
-
 void encode_payload(const AggregateRecord& r, PayloadWriter& w) {
   w.put_str(r.payload);
 }
@@ -150,6 +118,18 @@ ShardEndRecord decode_end(PayloadReader& r) {
   return out;
 }
 
+/// Type 3 (span streams) is retired and rejected like any unknown type.
+bool known_record_type(std::uint8_t raw) {
+  switch (static_cast<RecordType>(raw)) {
+    case RecordType::kResult:
+    case RecordType::kCounters:
+    case RecordType::kAggregate:
+    case RecordType::kShardEnd:
+      return true;
+  }
+  return false;
+}
+
 std::optional<Record> decode_payload(RecordType type, std::string_view payload,
                                      std::string* error) {
   PayloadReader r(payload);
@@ -157,7 +137,6 @@ std::optional<Record> decode_payload(RecordType type, std::string_view payload,
   switch (type) {
     case RecordType::kResult: out = decode_result(r); break;
     case RecordType::kCounters: out = decode_counters(r); break;
-    case RecordType::kSpans: out = decode_spans(r); break;
     case RecordType::kAggregate: out = decode_aggregate(r); break;
     case RecordType::kShardEnd: out = decode_end(r); break;
   }
@@ -182,7 +161,6 @@ RecordType record_type(const Record& r) {
     RecordType operator()(const CountersRecord&) {
       return RecordType::kCounters;
     }
-    RecordType operator()(const SpansRecord&) { return RecordType::kSpans; }
     RecordType operator()(const AggregateRecord&) {
       return RecordType::kAggregate;
     }
@@ -398,7 +376,7 @@ std::optional<Record> BinReader::next() {
     return std::nullopt;
   }
   const auto raw_type = static_cast<std::uint8_t>(head[0]);
-  if (raw_type < 1 || raw_type > 5) {
+  if (!known_record_type(raw_type)) {
     fail("unknown record type " + std::to_string(raw_type));
     return std::nullopt;
   }

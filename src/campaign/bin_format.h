@@ -1,13 +1,12 @@
-// ccdem-bin-v1: the compact binary span/counter/result format the campaign
+// ccdem-bin-v1: the compact binary result/counter format the campaign
 // engine writes on its hot results path.
 //
-// At campaign scale (millions of runs) the JSON results path is the
-// bottleneck -- quoting, escaping and float re-parsing cost more than the
-// simulation work they describe.  This format is the opposite trade: fixed
-// little-endian scalars (doubles as IEEE-754 bit patterns, so round-trips
-// are bit-exact), length-prefixed strings, and length-prefixed records that
-// a reader can stream one at a time in O(1) memory.  The JSON Chrome-trace
-// and CSV exporters remain available as *converters* over this format
+// A campaign writes one record per run, so the results path must cost
+// little next to the simulation it describes: no quoting, escaping or float
+// re-parsing.  The format is fixed little-endian scalars (doubles as
+// IEEE-754 bit patterns, so round-trips are bit-exact), length-prefixed
+// strings, and length-prefixed records that a reader can stream one at a
+// time in O(1) memory.  A results CSV is a converter over this format
 // (campaign/convert.h), off the hot path.
 //
 // File layout:
@@ -15,6 +14,11 @@
 //   record*: u8 type, u32 payload_len, payload bytes
 //   final record: kShardEnd carrying the result/record counts and an FNV-1a
 //   checksum folded over every preceding record's bytes.
+//
+// Record types are result (1), counters (2), aggregate (4) and shard end
+// (5).  Type 3 once carried per-run span streams; it is retired and the
+// decoder rejects it like any unknown type.  A run's spans are one replay
+// of its scenario away (`campaign_report repro`, then `trace_viewer`).
 //
 // Error handling is strict and bounded: every decode error names the byte
 // offset it was detected at, a truncated stream is reported (never read
@@ -34,8 +38,6 @@
 #include <variant>
 #include <vector>
 
-#include "obs/span_recorder.h"
-
 namespace ccdem::campaign {
 
 inline constexpr char kBinMagic[8] = {'C', 'C', 'D', 'M', 'B', 'I', 'N', '1'};
@@ -50,7 +52,6 @@ inline constexpr std::uint32_t kMaxElementCount = 1u << 24;
 enum class RecordType : std::uint8_t {
   kResult = 1,     ///< one experiment run's scalar results
   kCounters = 2,   ///< a counter snapshot (order-preserving)
-  kSpans = 3,      ///< an obs span stream (for the trace converters)
   kAggregate = 4,  ///< serialized streaming aggregates (aggregates.h)
   kShardEnd = 5,   ///< end marker: counts + checksum over prior records
 };
@@ -96,11 +97,6 @@ struct CountersRecord {
   [[nodiscard]] bool operator==(const CountersRecord&) const = default;
 };
 
-struct SpansRecord {
-  std::vector<obs::Span> spans;
-  [[nodiscard]] bool operator==(const SpansRecord&) const = default;
-};
-
 /// Opaque aggregate payload; campaign/aggregates.h encodes and decodes it.
 /// Kept opaque here so the record layer has no dependency on the aggregate
 /// schema (and an old reader can still skip/copy the record).
@@ -116,8 +112,8 @@ struct ShardEndRecord {
   [[nodiscard]] bool operator==(const ShardEndRecord&) const = default;
 };
 
-using Record = std::variant<ResultRecord, CountersRecord, SpansRecord,
-                            AggregateRecord, ShardEndRecord>;
+using Record = std::variant<ResultRecord, CountersRecord, AggregateRecord,
+                            ShardEndRecord>;
 
 [[nodiscard]] RecordType record_type(const Record& r);
 

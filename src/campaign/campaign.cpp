@@ -1,12 +1,12 @@
 #include "campaign/campaign.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "campaign/bin_format.h"
@@ -45,12 +45,9 @@ std::string join(const std::vector<std::string>& items) {
 std::string format_double(double v) {
   assert(std::isfinite(v));
   char buf[64];
-  for (int prec = 1; prec <= std::numeric_limits<double>::max_digits10;
-       ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  assert(r.ec == std::errc());
+  return std::string(buf, r.ptr);
 }
 
 std::uint64_t CampaignSpec::size() const {
@@ -113,8 +110,6 @@ std::string CampaignSpec::to_string() const {
   os << "seeds = " << join(seed_texts) << "\n";
   os << "duration_ms = " << duration_ms << "\n";
   os << "ab = " << (ab ? 1 : 0) << "\n";
-  os << "record_spans = " << (record_spans ? 1 : 0) << "\n";
-  os << "oracles = " << (oracles ? 1 : 0) << "\n";
   os << "shards = " << shards << "\n";
   return os.str();
 }
@@ -162,12 +157,10 @@ std::optional<CampaignSpec> CampaignSpec::parse(const std::string& text,
       const auto d = sim::kv::parse_i64(value);
       if (!d) return fail(sim::kv::bad_value(e));
       spec.duration_ms = *d;
-    } else if (key == "ab" || key == "record_spans" || key == "oracles") {
+    } else if (key == "ab") {
       const auto b = sim::kv::parse_bool(value);
       if (!b) return fail(sim::kv::bad_value(e));
-      (key == "ab" ? spec.ab
-                   : key == "record_spans" ? spec.record_spans
-                                           : spec.oracles) = *b;
+      spec.ab = *b;
     } else if (key == "shards") {
       const auto n = parse_shards(value);
       if (!n) return fail(sim::kv::bad_value(e));
@@ -212,9 +205,6 @@ std::optional<std::string> CampaignSpec::validate() const {
   if (seeds.empty()) return "seeds must not be empty";
   if (duration_ms <= 0) return "duration_ms must be positive";
   if (shards < 1) return "shards must be >= 1";
-  if (record_spans && oracles) {
-    return "record_spans and oracles are mutually exclusive";
-  }
   return std::nullopt;
 }
 

@@ -2,7 +2,7 @@
 //
 // A campaign is a scenario matrix -- the cartesian product
 // app x mode x grid x fault-scale x pressure-scale x seed -- plus
-// per-run settings, sharded
+// per-run settings (duration, A/B arm), sharded
 // into contiguous index ranges that worker processes execute independently.
 // Everything is pure data in the repo's strict key=value dialect
 // (sim/key_value.h), so a campaign can be described, resumed and audited
@@ -13,7 +13,7 @@
 // matrix via the fingerprint, and a manifest whose shard or scenario count
 // disagrees with the spec), one row per shard (pending/done + the shard
 // file's result/byte counts), and the quarantine list of scenario indices
-// that crashed or tripped an oracle and were excluded after minimization.
+// that crashed their worker and were excluded after minimization.
 // The coordinator rewrites it atomically (tmp + rename) after every state
 // change, so a killed coordinator or worker costs at most the shards that
 // were in flight.
@@ -47,12 +47,6 @@ struct CampaignSpec {
   /// Run a baseline-60 A/B arm per scenario (adds quality/savings to the
   /// aggregates at the cost of a second run per scenario).
   bool ab = false;
-  /// Record per-run span streams into the shard files (serial workers
-  /// only; spans are scheduling-agnostic but heavy, default off).
-  bool record_spans = false;
-  /// Additionally run every scenario through the DST oracles; failures are
-  /// excluded from the aggregates and land as quarantined `.repro`s.
-  bool oracles = false;
   int shards = 4;
 
   /// Matrix size (product of the axes).
@@ -130,8 +124,9 @@ struct Manifest {
 [[nodiscard]] std::optional<std::string> load_file(
     const std::filesystem::path& path);
 
-/// Shortest decimal text that strtod's back to exactly `v` (bounded by
-/// max_digits10); the canonical double rendering for spec/manifest files.
+/// Shortest decimal text that strtod's back to exactly `v`, in fixed
+/// notation when that is no longer than scientific (100 -> "100",
+/// 1e22 -> "1e+22"); the canonical double rendering for spec/manifest files.
 [[nodiscard]] std::string format_double(double v);
 
 }  // namespace ccdem::campaign

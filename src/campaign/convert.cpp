@@ -6,82 +6,31 @@
 #include <vector>
 
 #include "campaign/campaign.h"
-#include "obs/counters.h"
-#include "obs/trace_export.h"
 
 namespace ccdem::campaign {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-struct Collected {
-  std::vector<obs::Span> spans;
-  obs::Counters::Snapshot counters;
-  std::vector<ResultRecord> results;
-};
-
-/// Streams the shard file, keeping only what the converter asked for.
-std::optional<std::string> collect(const fs::path& path, bool want_spans,
-                                   bool want_results, Collected& out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return "cannot open " + path.string();
-  BinReader reader(is);
-  while (auto rec = reader.next()) {
-    if (const auto* sp = std::get_if<SpansRecord>(&*rec)) {
-      if (want_spans) {
-        out.spans.insert(out.spans.end(), sp->spans.begin(), sp->spans.end());
-      }
-    } else if (const auto* c = std::get_if<CountersRecord>(&*rec)) {
-      out.counters.counters.insert(out.counters.counters.end(),
-                                   c->counters.begin(), c->counters.end());
-    } else if (const auto* r = std::get_if<ResultRecord>(&*rec)) {
-      if (want_results) out.results.push_back(*r);
-    }
-  }
-  if (!reader.ok()) return path.string() + ": " + reader.error();
-  if (!reader.complete()) {
-    return path.string() + ": truncated (no verified end marker)";
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<std::string> bin_to_chrome_trace(const fs::path& bin_path,
-                                               std::ostream& os) {
-  Collected c;
-  if (auto err = collect(bin_path, /*want_spans=*/true,
-                         /*want_results=*/false, c)) {
-    return err;
-  }
-  obs::write_chrome_trace(os, c.spans, c.counters);
-  return std::nullopt;
-}
-
-std::optional<std::string> bin_to_trace_csv(const fs::path& bin_path,
-                                            std::ostream& os) {
-  Collected c;
-  if (auto err = collect(bin_path, /*want_spans=*/true,
-                         /*want_results=*/false, c)) {
-    return err;
-  }
-  obs::write_trace_csv(os, c.spans, c.counters);
-  return std::nullopt;
-}
-
 std::optional<std::string> bin_to_results_csv(const fs::path& bin_path,
                                               std::ostream& os) {
-  Collected c;
-  if (auto err = collect(bin_path, /*want_spans=*/false,
-                         /*want_results=*/true, c)) {
-    return err;
+  std::ifstream is(bin_path, std::ios::binary);
+  if (!is) return "cannot open " + bin_path.string();
+  BinReader reader(is);
+  std::vector<ResultRecord> results;
+  while (auto rec = reader.next()) {
+    if (const auto* r = std::get_if<ResultRecord>(&*rec)) {
+      results.push_back(*r);
+    }
+  }
+  if (!reader.ok()) return bin_path.string() + ": " + reader.error();
+  if (!reader.complete()) {
+    return bin_path.string() + ": truncated (no verified end marker)";
   }
   os << "scenario_index,app,mode,seed,duration_ms,mean_power_mw,"
         "mean_refresh_hz,meter_error_rate,response_mean_ms,frames_composed,"
         "content_frames,frames_posted,rate_switches,final_frame_hash,"
         "has_ab,saved_power_pct,quality_pct\n";
-  for (const ResultRecord& r : c.results) {
+  for (const ResultRecord& r : results) {
     os << r.scenario_index << ',' << r.app << ',' << r.mode << ',' << r.seed
        << ',' << r.duration_ms << ',' << format_double(r.mean_power_mw) << ','
        << format_double(r.mean_refresh_hz) << ','

@@ -1,11 +1,12 @@
-// Converters over the ccdem-bin-v1 hot path: the JSON/CSV exporters,
-// demoted from the results path to offline tools.
+// Converter over ccdem-bin-v1 shard files: a per-run results CSV, built on
+// demand, off the campaign's hot path.
 //
-// A shard file carries everything the old exporters consumed -- span
-// streams, counter snapshots, per-run results -- so Chrome-trace JSON,
-// trace CSV and a per-run results CSV are now *derived* artifacts: decode
-// the records you need, hand them to the existing obs exporters.  Nothing
-// on the campaign hot path pays for quoting or float printing.
+// A shard file carries each run's scalar results and the shard's counter
+// snapshot, so a human-readable table is a *derived* artifact: decode the
+// result records, print them.  Nothing on the campaign hot path pays for
+// float printing.  A run's spans are not stored; replay its scenario
+// instead (`campaign_report repro <spec> <index>`, then `trace_viewer`),
+// which reproduces the run exactly.
 #pragma once
 
 #include <filesystem>
@@ -17,19 +18,10 @@
 
 namespace ccdem::campaign {
 
-/// Chrome trace_event JSON of every SpansRecord in the shard file (the
-/// counter snapshot rides along, as in obs::write_chrome_trace).  Returns
-/// an error string on malformed input, std::nullopt on success.
-[[nodiscard]] std::optional<std::string> bin_to_chrome_trace(
-    const std::filesystem::path& bin_path, std::ostream& os);
-
-/// obs trace CSV (spans + counters), same contract.
-[[nodiscard]] std::optional<std::string> bin_to_trace_csv(
-    const std::filesystem::path& bin_path, std::ostream& os);
-
 /// Per-run results CSV: one row per ResultRecord, header first, scenario
 /// index order as stored.  Numeric columns use the shortest round-trip
-/// rendering (campaign::format_double).
+/// rendering (campaign::format_double).  Returns an error string on
+/// malformed input, std::nullopt on success.
 [[nodiscard]] std::optional<std::string> bin_to_results_csv(
     const std::filesystem::path& bin_path, std::ostream& os);
 

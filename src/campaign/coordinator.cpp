@@ -10,7 +10,6 @@
 #include <sstream>
 #include <variant>
 
-#include "check/dst.h"
 #include "check/minimizer.h"
 #include "harness/experiment.h"
 #include "harness/json_writer.h"
@@ -99,8 +98,7 @@ pid_t fork_worker(const CampaignSpec& spec, int shard, const fs::path& dir,
   const pid_t pid = fork();
   if (pid != 0) return pid;
   const ShardOutcome out = run_shard(spec, shard, dir, wopts);
-  if (out.ok) _exit(kWorkerExitOk);
-  _exit(out.failed_index ? kWorkerExitOracle : kWorkerExitError);
+  _exit(out.ok ? kWorkerExitOk : kWorkerExitError);
 }
 
 /// Re-runs one scenario in a forked child; false = it killed the child.
@@ -144,23 +142,18 @@ check::FailurePredicate fork_crash_predicate(std::uint64_t index,
 
 void quarantine_scenario(const CampaignSpec& spec, Manifest& manifest,
                          std::uint64_t index, const std::string& reason,
-                         bool is_crash, const fs::path& dir,
-                         const CampaignOptions& options,
+                         const fs::path& dir, const CampaignOptions& options,
                          CampaignResult& result) {
   const check::Scenario sc = spec.scenario_at(index);
   check::Scenario min_sc = sc;
   std::vector<std::string> failures = {reason};
-  if (options.minimize) {
-    const check::FailurePredicate pred =
-        is_crash ? fork_crash_predicate(index, options.worker)
-                 : check::make_failure_predicate({});
-    check::MinimizeOptions mo;
-    mo.max_attempts = 60;  // a campaign should not stall on one repro
-    const check::MinimizeResult mr = check::minimize_scenario(sc, pred, mo);
-    if (!mr.failure.empty()) {
-      min_sc = mr.scenario;
-      failures.push_back(mr.failure);
-    }
+  check::MinimizeOptions mo;
+  mo.max_attempts = 60;  // a campaign should not stall on one repro
+  const check::MinimizeResult mr = check::minimize_scenario(
+      sc, fork_crash_predicate(index, options.worker), mo);
+  if (!mr.failure.empty()) {
+    min_sc = mr.scenario;
+    failures.push_back(mr.failure);
   }
   const fs::path repro = dir / ("scenario_" + std::to_string(index) + ".repro");
   if (std::string err; save_file_atomic(
@@ -321,49 +314,27 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
       continue;
     }
 
-    if (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitOracle) {
-      const fs::path fail_path = dir / shard_fail_name(s);
-      const auto text = load_file(fail_path);
-      const auto f = text ? parse_fail(*text) : std::nullopt;
-      fs::remove(fail_path, ec);
-      if (f && f->index >= spec.size()) {
-        log_line(options.log, "shard " + std::to_string(s) +
-                                  ": fail sidecar names scenario " +
-                                  std::to_string(f->index) +
-                                  " outside the matrix; ignored");
-      } else if (f && !manifest.is_quarantined(f->index)) {
-        quarantine_scenario(spec, manifest, f->index, "oracle: " + f->reason,
-                            /*is_crash=*/false, dir, options, result);
-        launches[static_cast<std::size_t>(s)] = 0;  // progress was made
-        if (!save_manifest()) return result;
-      }
-      continue;
-    }
-
     // The worker died (signal) or failed internally.
     log_line(options.log,
              "shard " + std::to_string(s) + " " + crash_reason(status));
-    if (options.isolate_crashes) {
-      const auto text = load_file(dir / shard_progress_name(s));
-      const auto inflight = text ? parse_progress(*text) : std::nullopt;
-      if (inflight) {
-        for (const std::uint64_t idx : *inflight) {
-          if (idx >= spec.size()) {
-            log_line(options.log, "shard " + std::to_string(s) +
-                                      ": progress sidecar names scenario " +
-                                      std::to_string(idx) +
-                                      " outside the matrix; ignored");
-            continue;
-          }
-          if (manifest.is_quarantined(idx)) continue;
-          if (!survives_in_isolation(spec, idx, options.worker)) {
-            quarantine_scenario(spec, manifest, idx, crash_reason(status),
-                                /*is_crash=*/true, dir, options, result);
-            launches[static_cast<std::size_t>(s)] = 0;
-            if (!save_manifest()) return result;
-            break;  // one culprit per death; a re-run flushes out the rest
-          }
-        }
+    const auto text = load_file(dir / shard_progress_name(s));
+    const auto inflight = text ? parse_progress(*text) : std::nullopt;
+    if (!inflight) continue;
+    for (const std::uint64_t idx : *inflight) {
+      if (idx >= spec.size()) {
+        log_line(options.log, "shard " + std::to_string(s) +
+                                  ": progress sidecar names scenario " +
+                                  std::to_string(idx) +
+                                  " outside the matrix; ignored");
+        continue;
+      }
+      if (manifest.is_quarantined(idx)) continue;
+      if (!survives_in_isolation(spec, idx, options.worker)) {
+        quarantine_scenario(spec, manifest, idx, crash_reason(status), dir,
+                            options, result);
+        launches[static_cast<std::size_t>(s)] = 0;
+        if (!save_manifest()) return result;
+        break;  // one culprit per death; a re-run flushes out the rest
       }
     }
   }

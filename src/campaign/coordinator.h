@@ -13,10 +13,9 @@
 // Crash isolation reuses src/check: when a worker dies, the scenarios named
 // by its `.progress` sidecar are re-run one-by-one in isolated forked
 // children; the one that dies again is minimized (fork-per-candidate
-// predicate, so even a crashing candidate only costs a child) and written
-// as a self-contained `.repro`, then quarantined in the manifest so the
-// re-run skips it.  A scenario that trips a DST oracle (spec.oracles)
-// takes the same path without the process archaeology.
+// predicate, so even a crashing candidate only costs a child, never the
+// coordinator) and written as a self-contained `.repro`, then quarantined
+// in the manifest so the re-run skips it.
 //
 // Memory stays O(shards): results stream through BinReader record-by-record
 // and fold into one Aggregates per shard; nothing per-run is retained.
@@ -48,11 +47,6 @@ struct CampaignOptions {
   /// Test hook: apply worker.kill_after_runs only to this shard's first
   /// launch (-1 = no shard is killed).
   int kill_shard = -1;
-  /// Re-run a dead worker's in-flight scenarios in isolated children to
-  /// find the guilty one.
-  bool isolate_crashes = true;
-  /// Minimize a guilty/oracle-failing scenario before quarantining it.
-  bool minimize = true;
   /// Optional progress stream (one line per shard event).
   std::ostream* log = nullptr;
 };

@@ -3,19 +3,17 @@
 #include <signal.h>  // NOLINT(modernize-deprecated-headers): sigaction
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <csignal>
-#include <cstdio>
+#include <map>
 #include <sstream>
 
 #include "campaign/aggregates.h"
 #include "campaign/io_util.h"
-#include "check/dst.h"
 #include "device/control_mode.h"
 #include "harness/experiment.h"
 #include "harness/fleet.h"
-#include "obs/obs.h"
+#include "obs/counters.h"
 #include "sim/key_value.h"
 
 namespace ccdem::campaign {
@@ -25,7 +23,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kProgressSchema = "ccdem-campaign-progress-v1";
-constexpr const char* kFailSchema = "ccdem-campaign-fail-v1";
 
 ShardOutcome fail_outcome(std::string why) {
   ShardOutcome out;
@@ -61,12 +58,6 @@ class ScopedSigterm {
 };
 
 }  // namespace
-
-std::string shard_fail_name(int shard) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "shard_%04d.fail", shard);
-  return buf;
-}
 
 std::string progress_to_string(int shard,
                                const std::vector<std::uint64_t>& inflight) {
@@ -107,38 +98,6 @@ std::optional<std::vector<std::uint64_t>> parse_progress(
   }
   if (!saw_schema || !inflight) return std::nullopt;
   return inflight;
-}
-
-std::string fail_to_string(const FailSidecar& f) {
-  std::ostringstream os;
-  os << "schema = " << kFailSchema << "\n";
-  os << "index = " << f.index << "\n";
-  os << "reason = " << f.reason << "\n";
-  return os.str();
-}
-
-std::optional<FailSidecar> parse_fail(const std::string& text) {
-  const auto entries = sim::kv::read(text);
-  if (!entries) return std::nullopt;
-  bool saw_schema = false, saw_index = false;
-  FailSidecar f;
-  for (const sim::kv::Entry& e : *entries) {
-    if (e.key == "schema") {
-      if (e.value != kFailSchema) return std::nullopt;
-      saw_schema = true;
-    } else if (e.key == "index") {
-      const auto idx = sim::kv::parse_u64(e.value);
-      if (!idx) return std::nullopt;
-      f.index = *idx;
-      saw_index = true;
-    } else if (e.key == "reason") {
-      f.reason = e.value;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (!saw_schema || !saw_index) return std::nullopt;
-  return f;
 }
 
 std::vector<RungResidency> compute_residency(const sim::Trace& refresh,
@@ -196,7 +155,6 @@ ShardOutcome run_shard(const CampaignSpec& spec, int shard,
   const fs::path final_path = dir / shard_file_name(shard);
   const fs::path tmp_path = final_path.string() + ".tmp";
   const fs::path progress_path = dir / shard_progress_name(shard);
-  const fs::path fail_path = dir / shard_fail_name(shard);
 
   // The scenario indices this invocation actually runs.
   std::vector<std::uint64_t> pending;
@@ -277,73 +235,8 @@ ShardOutcome run_shard(const CampaignSpec& spec, int shard,
       scenarios.push_back(spec.scenario_at(idx));
     }
 
-    if (spec.oracles) {
-      for (std::size_t j = 0; j < scenarios.size(); ++j) {
-        const check::CheckReport report =
-            check::check_scenario(scenarios[j]);
-        if (!report.ok()) {
-          FailSidecar f;
-          f.index = inflight[j];
-          f.reason = report.failures.front();
-          std::string err;
-          if (!save_file_atomic(fail_path, fail_to_string(f), &err)) {
-            return fail_outcome(err);
-          }
-          ShardOutcome out;
-          out.error = "oracle failure at scenario " + std::to_string(f.index);
-          out.failed_index = f.index;
-          out.failure = f.reason;
-          return out;
-        }
-      }
-    }
-
-    if (spec.record_spans) {
-      // Serial, one sink per run, spans on.
-      for (std::size_t j = 0; j < scenarios.size(); ++j) {
-        obs::ObsSink sink;
-        harness::ExperimentConfig cfg = scenarios[j].experiment_config();
-        cfg.obs = &sink;
-        const harness::ExperimentResult res = harness::run_experiment(cfg);
-        ResultRecord rec =
-            make_result_record(inflight[j], scenarios[j], res);
-        if (spec.ab) {
-          obs::ObsSink bsink;
-          harness::ExperimentConfig bcfg = cfg;
-          bcfg.mode = device::ControlMode::kBaseline60;
-          bcfg.obs = &bsink;
-          const harness::ExperimentResult base = harness::run_experiment(bcfg);
-          rec.has_ab = true;
-          rec.saved_power_pct =
-              base.mean_power_mw > 0.0
-                  ? (base.mean_power_mw - res.mean_power_mw) /
-                        base.mean_power_mw * 100.0
-                  : 0.0;
-          rec.quality_pct =
-              metrics::compare_quality(base.content_rate, res.content_rate)
-                  .display_quality_pct;
-          total_counters.merge(bsink.counters);
-        }
-        writer.write(rec);
-        agg.add(rec);
-        writer.write(SpansRecord{sink.spans.spans()});
-        total_counters.merge(sink.counters);
-        if (options.kill_after_runs != 0 &&
-            writer.results_written() >= options.kill_after_runs) {
-          os.flush();
-          std::raise(SIGKILL);
-        }
-        // The in-flight record is on disk; a requested drain stops here
-        // (unless it was the last record anyway -- then finish normally).
-        if (g_drain_requested && off + j + 1 < pending.size()) {
-          return drain(remaining_from(off + j + 1));
-        }
-      }
-      continue;
-    }
-
-    // Fleet path: one sweep per chunk; with A/B, the baseline arm rides in
-    // the same sweep (configs [c0, b0, c1, b1, ...], results in order).
+    // One fleet sweep per chunk; with A/B, the baseline arm rides in the
+    // same sweep (configs [c0, b0, c1, b1, ...], results in order).
     std::vector<harness::ExperimentConfig> configs;
     configs.reserve(scenarios.size() * (spec.ab ? 2 : 1));
     for (const check::Scenario& sc : scenarios) {

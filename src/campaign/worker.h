@@ -4,13 +4,15 @@
 // A worker is a pure function of (spec, shard index) -- the coordinator
 // forks one process per in-flight shard and trusts nothing but the shard
 // file it leaves behind.  The worker runs its range in chunks through a
-// FleetRunner (one chunk = one fleet sweep), folds every result into the
-// shard's streaming Aggregates in scenario-index order, and finishes the
-// file with the merged counter snapshot, the encoded aggregate and the
-// checksummed end marker.  The file is written to a `.tmp` name and renamed
-// only after the end marker, so a crashed worker leaves either nothing or a
-// file that fails BinReader::complete() -- never a silently short result
-// set.
+// FleetRunner (one chunk = one fleet sweep; there is no other run path),
+// folds every result into the shard's streaming Aggregates in
+// scenario-index order, and finishes the file with the merged counter
+// snapshot, the encoded aggregate and the checksummed end marker.  A run's
+// spans or DST verdict are not recorded: every run is a pure function of
+// `spec.scenario_at(i)`, so they are one replay of that scenario away.  The
+// file is written to a `.tmp` name and renamed only after the end marker,
+// so a crashed worker leaves either nothing or a file that fails
+// BinReader::complete() -- never a silently short result set.
 //
 // Crash forensics: before each chunk the worker atomically rewrites a
 // `.progress` sidecar naming the in-flight scenario indices.  When a worker
@@ -18,8 +20,8 @@
 // find the guilty one (coordinator.h).
 //
 // Graceful termination: run_shard installs a SIGTERM handler (restored on
-// return) that requests a drain.  At the next record/chunk boundary the
-// worker finishes the in-flight record, writes the counters/aggregate/end
+// return) that requests a drain.  At the next chunk boundary the worker
+// finishes the in-flight chunk's records, writes the counters/aggregate/end
 // marker onto the `.tmp` file (decodable, but never renamed -- the shard is
 // not done), rewrites `.progress` with the unfinished indices, and returns
 // ok so the process exits 0 instead of dying mid-record.
@@ -44,8 +46,7 @@ namespace ccdem::campaign {
 
 /// Worker process exit codes the coordinator distinguishes.
 inline constexpr int kWorkerExitOk = 0;
-inline constexpr int kWorkerExitError = 1;   ///< I/O or internal failure
-inline constexpr int kWorkerExitOracle = 3;  ///< a scenario tripped an oracle
+inline constexpr int kWorkerExitError = 1;  ///< I/O or internal failure
 
 struct WorkerOptions {
   /// Fleet threads per worker process (0 = one per hardware core).
@@ -68,7 +69,7 @@ struct WorkerOptions {
 struct ShardOutcome {
   bool ok = false;
   std::string error;  ///< single line when !ok
-  /// SIGTERM drain: the worker finished its in-flight record, closed the
+  /// SIGTERM drain: the worker finished its in-flight chunk, closed the
   /// `.tmp` file with the checksummed end marker (complete-decodable but
   /// NOT renamed), and listed the unfinished indices in the `.progress`
   /// sidecar.  `ok` is true -- the worker exits 0 -- and a relaunch
@@ -76,11 +77,6 @@ struct ShardOutcome {
   bool interrupted = false;
   std::uint64_t results = 0;
   std::uint64_t bytes = 0;
-  /// Set when a scenario tripped an oracle (spec.oracles): its matrix index
-  /// and first failure line.  run_shard also persists these in the shard's
-  /// `.fail` sidecar so the (likely forked) worker can just exit.
-  std::optional<std::uint64_t> failed_index;
-  std::string failure;
 };
 
 /// Runs shard `shard` of `spec` and writes `dir/shard_NNNN.bin`.
@@ -94,15 +90,6 @@ struct ShardOutcome {
     const std::string& text);
 [[nodiscard]] std::string progress_to_string(
     int shard, const std::vector<std::uint64_t>& inflight);
-
-/// `.fail` sidecar round-trip (oracle failures).
-struct FailSidecar {
-  std::uint64_t index = 0;
-  std::string reason;
-};
-[[nodiscard]] std::optional<FailSidecar> parse_fail(const std::string& text);
-[[nodiscard]] std::string fail_to_string(const FailSidecar& f);
-[[nodiscard]] std::string shard_fail_name(int shard);  // shard_0007.fail
 
 /// Ascending-hz per-rung residency of a refresh-rate step trace over
 /// [0, duration) -- the same step-hold reading as Trace::time_weighted_mean.

@@ -43,10 +43,13 @@ struct DeviceConfig {
   sim::Duration power_sample = sim::milliseconds(50);
   /// Screen brightness in [0, 1]; the paper measures at 50 %.
   double brightness = 0.5;
-  /// Fixed rate of the kBaseline60 arm; 0 = the rate set's maximum.
+  /// Fixed rate of the kBaseline60 arm; 0 = the rate set's maximum.  Set
+  /// explicitly (e.g. 60) when comparing across panels whose maxima differ,
+  /// so both arms share the same stock baseline.
   int baseline_hz = 0;
   /// Panel "fast exit": rate increases retime the next V-Sync instead of
-  /// waiting out the old period.
+  /// waiting out the old period.  Off for the paper's Galaxy S3; essential
+  /// for LTPO-class ladders with 1-10 Hz floors.
   bool fast_rate_up = false;
   /// OLED extension: replace the constant panel term with a luma-tracking
   /// emission model.  Set `power.panel_static_mw = 0` alongside this.

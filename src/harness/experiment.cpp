@@ -10,25 +10,6 @@
 
 namespace ccdem::harness {
 
-device::DeviceConfig ExperimentConfig::device_config() const {
-  device::DeviceConfig dc;
-  dc.mode = mode;
-  dc.pipeline = pipeline;
-  dc.dpm = dpm;
-  dc.governor = governor;
-  dc.power = power;
-  dc.rates = rates;
-  dc.screen = screen;
-  dc.seed = seed;
-  dc.power_sample = power_sample;
-  dc.brightness = brightness;
-  dc.baseline_hz = baseline_hz;
-  dc.fast_rate_up = fast_rate_up;
-  dc.fault = fault;
-  dc.obs = obs;
-  return dc;
-}
-
 namespace {
 
 /// Folds fast_hash() of every composed frame (see

@@ -15,12 +15,8 @@
 
 #include "apps/app_model.h"
 #include "apps/app_profiles.h"
-#include "core/display_power_manager.h"
 #include "device/device_config.h"
-#include "display/refresh_rate.h"
-#include "fault/fault_plan.h"
 #include "metrics/quality.h"
-#include "obs/obs.h"
 #include "power/device_power_model.h"
 #include "sim/time.h"
 #include "sim/trace.h"
@@ -36,33 +32,11 @@ namespace ccdem::harness {
 using ControlMode = device::ControlMode;
 using device::control_mode_name;
 
-struct ExperimentConfig {
+/// One run: the device it runs on (the DeviceConfig base: mode, seed,
+/// panel, power, faults, obs sink, ...) plus the app and how to drive it.
+struct ExperimentConfig : device::DeviceConfig {
   apps::AppSpec app;
   sim::Duration duration = sim::seconds(60);
-  std::uint64_t seed = 1;
-  ControlMode mode = ControlMode::kBaseline60;
-  /// Explicit stage composition; used only when `mode == kPipeline`.
-  core::PipelineSpec pipeline{};
-  core::DpmConfig dpm{};
-  /// Used only when `mode == kE3FrameRate`.
-  core::GovernorConfig governor{};
-  power::DevicePowerParams power = power::DevicePowerParams::galaxy_s3();
-  display::RefreshRateSet rates = display::RefreshRateSet::galaxy_s3();
-  gfx::Size screen = apps::kGalaxyS3Screen;
-  sim::Duration power_sample = sim::milliseconds(50);
-  /// Screen brightness in [0, 1]; the paper measures at 50 %.
-  double brightness = 0.5;
-  /// Fixed rate of the kBaseline60 arm; 0 = the rate set's maximum.  Set
-  /// explicitly (e.g. 60) when comparing across panels whose maxima differ,
-  /// so both arms share the same stock baseline.
-  int baseline_hz = 0;
-  /// Panel "fast exit": rate increases retime the next V-Sync instead of
-  /// waiting out the old period.  Off for the paper's Galaxy S3; essential
-  /// for LTPO-class ladders with 1-10 Hz floors.
-  bool fast_rate_up = false;
-  /// Fault injection plan (robustness layer); default empty = no injector,
-  /// bit-identical to a clean run.
-  fault::FaultPlan fault{};
   /// No effect: the compositor has one compose path.  Kept only because the
   /// repo benchmark (perfbench/) assigns it; delete it with the next change
   /// to the benchmark.
@@ -74,15 +48,15 @@ struct ExperimentConfig {
   /// frame's damage touches, and the run aborts if its last value differs
   /// from a full hash of the final frame.
   bool hash_frames = false;
-  /// Observability sink (optional, not owned; must outlive the run).
-  obs::ObsSink* obs = nullptr;
   /// Explicit touch script replayed verbatim instead of generating one from
   /// the Monkey profile + seed.  A `.repro` file embeds its (possibly
   /// shrunk) script here so replay does not depend on the generator.
   std::optional<std::vector<input::TouchGesture>> script;
 
-  /// The device half of this config (everything except the app + duration).
-  [[nodiscard]] device::DeviceConfig device_config() const;
+  /// The device half of this config: the DeviceConfig base.
+  [[nodiscard]] const device::DeviceConfig& device_config() const {
+    return *this;
+  }
 };
 
 struct ExperimentResult {

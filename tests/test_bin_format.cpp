@@ -36,14 +36,7 @@ ResultRecord sample_result() {
 std::vector<Record> sample_records() {
   CountersRecord c;
   c.counters = {{"flinger.frames", 123}, {"meter.evals", 20}};
-  SpansRecord sp;
-  sp.spans = {
-      obs::Span{sim::Time{100}, sim::Duration{16}, 1, 2048,
-                obs::Phase::kCompose},
-      obs::Span{sim::Time{116}, sim::Duration{0}, 1, 60,
-                obs::Phase::kPanelPresent},
-  };
-  return {Record{sample_result()}, Record{sp}, Record{c},
+  return {Record{sample_result()}, Record{c},
           Record{AggregateRecord{std::string("opaque\x00\x01\x02", 9)}}};
 }
 
@@ -176,6 +169,42 @@ TEST(BinFormat, ChecksumCatchesSingleByteFlips) {
     const auto decoded = decode_all(bad, &error);
     EXPECT_FALSE(decoded.has_value()) << "flip at byte " << pos;
   }
+}
+
+TEST(BinFormat, RetiredSpanRecordTypeIsRejected) {
+  // A type-3 record as span recording wrote it (one span: begin, dur,
+  // frame, arg, phase), followed by an end marker whose counts and
+  // checksum cover it, so only the type byte can be at fault.
+  std::string spans;
+  PayloadWriter sw(spans);
+  sw.put_u32(1);
+  sw.put_i64(100);
+  sw.put_i64(16);
+  sw.put_u64(1);
+  sw.put_i64(2048);
+  sw.put_u8(0);
+  std::string retired(1, '\x03');
+  PayloadWriter(retired).put_u32(static_cast<std::uint32_t>(spans.size()));
+  retired += spans;
+
+  std::string bytes(kBinMagic, sizeof kBinMagic);
+  PayloadWriter hw(bytes);
+  hw.put_u32(kBinVersion);
+  hw.put_u32(0);
+  const std::string result = encode_record(Record{sample_result()});
+  const std::uint64_t offset = bytes.size() + result.size();
+  ShardEndRecord end;
+  end.results = 1;
+  end.records = 2;
+  end.checksum = fnv1a(retired, fnv1a(result));
+  bytes += result + retired + encode_record(Record{end});
+
+  std::string error;
+  EXPECT_FALSE(decode_all(bytes, &error).has_value());
+  EXPECT_NE(error.find("unknown record type 3 at byte " +
+                       std::to_string(offset)),
+            std::string::npos)
+      << error;
 }
 
 TEST(BinFormat, TrailingDataAfterEndIsRejected) {

@@ -38,7 +38,7 @@ double random_double(sim::Rng& rng) {
 }
 
 Record random_record(sim::Rng& rng) {
-  switch (rng.uniform_int(0, 3)) {
+  switch (rng.uniform_int(0, 2)) {
     case 0: {
       ResultRecord r;
       r.scenario_index = rng.next_u64();
@@ -72,21 +72,6 @@ Record random_record(sim::Rng& rng) {
         c.counters.emplace_back(random_text(rng, 32), rng.next_u64());
       }
       return Record{c};
-    }
-    case 2: {
-      SpansRecord sp;
-      const int n = static_cast<int>(rng.uniform_int(0, 20));
-      for (int i = 0; i < n; ++i) {
-        obs::Span s;
-        s.begin = sim::Time{static_cast<std::int64_t>(rng.next_u64())};
-        s.dur = sim::Duration{static_cast<std::int64_t>(rng.next_u64())};
-        s.frame = rng.next_u64();
-        s.arg = static_cast<std::int64_t>(rng.next_u64());
-        s.phase =
-            static_cast<obs::Phase>(rng.uniform_int(0, obs::kPhaseCount - 1));
-        sp.spans.push_back(s);
-      }
-      return Record{sp};
     }
     default:
       return Record{AggregateRecord{random_text(rng, 200)}};
